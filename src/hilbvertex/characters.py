@@ -41,11 +41,6 @@ def partitions(n, max_part=None):
     return out
 
 
-def is_partition(lam):
-    return all(isinstance(x, int) and x > 0 for x in lam) and \
-        all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
-
 def size(lam):
     return sum(lam)
 

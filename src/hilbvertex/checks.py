@@ -13,13 +13,15 @@ import json
 import time
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                     LimitError)
+                     LimitError, VARIABLES, decode, pmul)
 from .series import Series, rational_reconstruct, ReconstructionError
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11, tangent_hilb)
 from .fock import (FockElement, exp_linear, pexp, tensor_exp, jj0_substitute,
                    project_second, JJ0_READINGS)
-from .macdonald import MacdonaldBasis, default_basis, euler_hilb
+from .macdonald import MacdonaldBasis, default_basis, euler_hilb, norm
+
+_Q_INDEX = VARIABLES.index("q")
 
 DEFAULT_Y_ORDER = 4
 DEFAULT_Z_ORDER = 6
@@ -212,7 +214,7 @@ def closed_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
             _hbar2k(k) * Q ** (-k) * (HBAR ** k - HBAR ** (-k)) / den,
             0, k, 0, Nz)
         c[k] = const + zfac * inner.geom()
-    return exp_linear(c, Ny)
+    return exp_linear(c, Ny, one=Series.one(0, Nz))
 
 
 def build_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER, reading="printed"):
@@ -394,21 +396,33 @@ def _zpoly_sub_w(poly):
     return {d: c * fac ** d for d, c in poly.items()}
 
 
-def _q_free_two_points(x):
-    a = x.specialize({"q": 2})
-    b = x.specialize({"q": 3})
-    return a == b
+def _q_euler(poly):
+    """q d/dq on a polynomial, up to the factor 1/2 of the doubled exponents."""
+    out = {}
+    for k, c in poly.items():
+        e = decode(k)[_Q_INDEX]
+        if e:
+            out[k] = c * e
+    return out
+
+
+def is_q_free(x):
+    """Exact: x does not depend on q, i.e. (q d/dq num) den == num (q d/dq den)."""
+    return (pmul(_q_euler(x.num), x.den)
+            == pmul(x.num, _q_euler(x.den)))
 
 
 def capped_vertex_table(n, Nz=None, basis=None):
     """Reconstruct the degree-n fixed-point restrictions as rational functions.
 
-    Takes the y^n slice of the closed form, decomposes it in the fixed-point
-    basis, multiplies by the calibrated Euler factor, and reconstructs each
-    z-series with numerator and denominator budgets B = sum_{k<=n} k.  Every
-    entry is certified by re-expansion through all computed orders, and the
-    q-independence of the shifted-variable form is checked by comparing two
-    rational specializations of q.
+    Takes the y^n slice of the closed form and pairs it with every H_lam
+    under the *-scalar product.  The fixed-point restriction is the H_lam
+    coefficient times the calibrated Euler factor, that is the pairing
+    times the ratio Euler(lam) / w_lam, which reduces to a monomial; so every
+    z-coefficient is a Laurent polynomial.  Each z-series is reconstructed
+    with numerator and denominator budgets B = sum_{k<=n} k and certified by
+    re-expansion through all computed orders, and the q-independence of the
+    shifted-variable form is checked exactly.
     """
     if n > 4:
         raise ValueError("vertex tables are configured for n <= 4")
@@ -419,12 +433,13 @@ def capped_vertex_table(n, Nz=None, basis=None):
         raise ValueError(f"need z-order at least {2 * B + 2}")
     basis = basis or default_basis()
     F = closed_F(n, Nz)
-    coeffs = basis.decompose(F.degree_slice(n), n)
+    pairings = basis.pairings(F.degree_slice(n), n)
     cand = candidate_denominator(n)
     entries = {}
     q_free = True
     for lam in partitions(n):
-        series = coeffs[lam] * euler_hilb(lam, basis.orientation)
+        ratio = (euler_hilb(lam, basis.orientation) / norm(lam)).reduced()
+        series = pairings[lam] * ratio
         if n == 0:
             entries[lam] = ({0: series.coefficient(0, 0)}, {0: ONE})
             continue
@@ -434,12 +449,8 @@ def capped_vertex_table(n, Nz=None, basis=None):
         except ReconstructionError as e:
             raise ReconstructionError(f"fixed point {lam}: {e}") from e
         entries[lam] = (num, den)
-        for d, c in _zpoly_sub_w(num).items():
-            if not _q_free_two_points(c):
-                q_free = False
-        for d, c in _zpoly_sub_w(den).items():
-            if not _q_free_two_points(c):
-                q_free = False
+        q_free = q_free and all(is_q_free(c) for part in (num, den)
+                                for c in _zpoly_sub_w(part).values())
     return CappedVertexTable(n, entries, Nz, q_free)
 
 

@@ -4,10 +4,10 @@ The fixed-point basis H_lam is the modified Macdonald polynomial with the
 Macdonald parameters specialized to q = t1^(-2), t = t2^(-2).  Two
 independent constructions are provided:
 
-  * the production route solves the two triangularity axioms plus the
-    normalization as a linear system in the Schur basis; the system entries
-    are small polynomials, which keeps the exact elimination tame at every
-    degree we need;
+  * the axioms route, which builds the basis: it solves the two
+    triangularity axioms plus the normalization as a linear system in the
+    Schur basis; the system entries are small polynomials, which keeps the
+    exact elimination tame at every degree we need;
   * the classical route: Gram-Schmidt for P_lam against the (q,t)-deformed
     power-sum inner product in a linear extension of dominance order, then
     the integral form J_lam, the plethysm X -> X/(1-t), and the t -> 1/t
@@ -18,14 +18,23 @@ independent constructions are provided:
 Also here: the calibrated fixed-point Euler factor (the tangent character
 with every weight squared, fed to the Koszul product), decomposition into
 the H-basis, and localization sums over fixed points of a given degree.
+
+Decomposition uses the Garsia-Haiman *-scalar product
+
+    <p_rho, p_rho>_* = (-1)^(|rho|-l(rho)) z_rho prod_i (1-q^rho_i)(1-t^rho_i),
+
+under which the H_lam are orthogonal with the closed-form norms
+w_lam = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1)) (Garsia-Tesler,
+Adv. Math. 1996; Haiman, "Combinatorics, symmetric functions and Hilbert
+schemes", 2003).  So the H_lam coefficient of f is <f, H_lam>_* / w_lam and
+no linear algebra is needed.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
-                     pmul, pmul_int, decode, encode, VARIABLES,
-                     invert_matrix, bareiss_det)
+                     pmul, pmul_int, decode, encode, VARIABLES, bareiss_det)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
 from .fock import FockElement
@@ -59,11 +68,6 @@ def z_mu(mu):
     return z
 
 
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
 def _clear_row(entries):
     """Clear integer contents and monomial denominators of one equation.
 
@@ -76,7 +80,7 @@ def _clear_row(entries):
         if len(e.den) != 1:
             raise ArithmeticError("entry has a non-monomial denominator")
         (kd, cd), = e.den.items()
-        L = L // _gcd(L, cd) * cd
+        L = L // gcd(L, cd) * cd
         for i, x in enumerate(decode(kd)):
             maxexp[i] = max(maxexp[i], x)
     lkey = encode(tuple(maxexp))
@@ -288,7 +292,7 @@ def macd_P(n):
         L = 1
         for coeffs in [m2p_frac[lam]] + [m2p_frac[nu] for nu in lower]:
             for v in coeffs.values():
-                L = L // _gcd(L, v.denominator) * v.denominator
+                L = L // gcd(L, v.denominator) * v.denominator
         f = {}
         for rho, v in m2p_frac[lam].items():
             f[rho] = pmul_int(D, int(v * L))
@@ -313,7 +317,10 @@ def integral_form_factor(lam):
 
 
 def macd_H_gram_schmidt(n):
-    """Modified Macdonald H_lam for all |lam| = n, via the production route."""
+    """Modified Macdonald H_lam for all |lam| = n, via the classical route.
+
+    The cross-check of macd_H_axioms, which builds the basis.
+    """
     P = macd_P(n)
     out = {}
     for lam, f in P.items():
@@ -417,6 +424,28 @@ def euler_hilb(lam, orientation="arms_t1"):
 
 
 # ---------------------------------------------------------------------------
+# the Garsia-Haiman *-scalar product
+# ---------------------------------------------------------------------------
+
+def star_weight(rho):
+    """<p_rho, p_rho>_* of the Garsia-Haiman *-scalar product."""
+    w = Scalar.from_int((-1) ** (sum(rho) - len(rho)) * z_mu(rho))
+    for k in rho:
+        w = w * (ONE - Q_MACD ** k) * (ONE - T_MACD ** k)
+    return w
+
+
+def norm(lam):
+    """w_lam = <H_lam, H_lam>_* = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1))."""
+    w = ONE
+    for (r, c) in boxes(lam):
+        a, l = arm(lam, r, c), leg(lam, r, c)
+        w = w * (Q_MACD ** a - T_MACD ** (l + 1)) * (T_MACD ** l
+                                                     - Q_MACD ** (a + 1))
+    return w
+
+
+# ---------------------------------------------------------------------------
 # the cached basis and fixed-point calculus
 # ---------------------------------------------------------------------------
 
@@ -427,7 +456,6 @@ class MacdonaldBasis:
         self.orientation = orientation
         self.max_degree = max_degree
         self._H = {}
-        self._inverse = {}
 
     def build_degree(self, n):
         if n > self.max_degree:
@@ -443,35 +471,34 @@ class MacdonaldBasis:
         self.build_degree(n)
         return FockElement(self._H[n][tuple(lam)], n)
 
-    def change_matrix(self, n):
-        """Rows indexed by lam, columns by mu: coefficient of p_mu in H_lam."""
-        self.build_degree(n)
-        parts = partitions(n)
-        return [[self._H[n][lam].get(mu, ZERO) for mu in parts]
-                for lam in parts]
+    def pairings(self, f, n):
+        """{lam: <f, H_lam>_*} for the degree-n slice of f.
 
-    def inverse_matrix(self, n):
-        got = self._inverse.get(n)
-        if got is None:
-            got = invert_matrix(self.change_matrix(n))
-            self._inverse[n] = got
-        return got
+        f is a FockElement with Scalar or Series coefficients.  Every term
+        f_rho H_lam,rho <p_rho, p_rho>_* is reduced on its own: the weight
+        cancels the (1-t1^2k)(1-t2^2k) denominators of the generating
+        functions, so the terms, and with them the pairings, are Laurent
+        polynomials over an integer.
+        """
+        self.build_degree(n)
+        weights = {mu: star_weight(mu) for mu in partitions(n)}
+        out = {}
+        for lam in partitions(n):
+            total = ZERO
+            for rho, h in self._H[n][lam].items():
+                c = f.coeffs.get(rho)
+                if c is not None:
+                    total = (c * (h * weights[rho])).reduced() + total
+            out[lam] = total
+        return out
 
     def decompose(self, f, n):
-        """Coefficients c_lam with (degree-n slice of f) = sum c_lam H_lam."""
-        parts = partitions(n)
-        inv = self.inverse_matrix(n)
-        # f = sum_mu f_mu p_mu ; c = f-vector times inverse of (H rows)
-        fvec = [f.coefficient((mu)) if hasattr(f, "coefficient") else
-                f.get(mu, ZERO) for mu in parts]
-        out = {}
-        for i, lam in enumerate(parts):
-            val = None
-            for j, mu in enumerate(parts):
-                term = fvec[j] * inv[j][i]
-                val = term if val is None else val + term
-            out[lam] = val
-        return out
+        """Coefficients c_lam with (degree-n slice of f) = sum c_lam H_lam.
+
+        By orthogonality c_lam = <f, H_lam>_* / w_lam; see pairings and norm.
+        """
+        return {lam: p * norm(lam).inverse()
+                for lam, p in self.pairings(f, n).items()}
 
     def localization_sum(self, eig, n):
         """sum over |lam| = n of eig(lam) H_lam / Euler(lam), exactly.
@@ -512,7 +539,7 @@ class MacdonaldBasis:
             else:
                 L = 1
                 for d in int_dens.values():
-                    g = _gcd(L, d)
+                    g = gcd(L, d)
                     L = L // g * d
                 lam_factors += [pconst(L)]
                 scaled = {mu: pmul_int(v.num, L // int_dens[mu])
@@ -531,11 +558,6 @@ class MacdonaldBasis:
                 nums[mu] = padd(nums[mu], poly)
         return FockElement({mu: Scalar(nums[mu], dict(D)) for mu in mus
                             if nums[mu]}, n)
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 _DEFAULT_BASIS = None

@@ -144,14 +144,6 @@ def pmul(f, g):
     return {k: c for k, c in out.items() if c}
 
 
-def pmul_term(f, key, coeff):
-    """Multiply a polynomial by a single monomial coeff*key."""
-    if not coeff or not f:
-        return {}
-    base = key - KEY_ONE
-    return {k + base: c * coeff for k, c in f.items()}
-
-
 def pmul_int(f, n):
     if not n:
         return {}
@@ -192,6 +184,12 @@ def pmin_exps(f):
     return mins
 
 
+def pexp_box(f):
+    """Per-variable minimum and maximum exponents of a nonzero polynomial."""
+    columns = list(zip(*map(decode, f)))
+    return [min(c) for c in columns], [max(c) for c in columns]
+
+
 def _grlex(key):
     e = decode(key)
     return (sum(e), e)
@@ -209,29 +207,44 @@ def padams(f, n):
     return {encode(tuple(e * n for e in decode(k))): c for k, c in f.items()}
 
 
-def pdivexact(f, g):
-    """Exact division f/g, or None when g does not divide f.
+def _key_ge(a, b):
+    """Is every exponent of key a at least the same exponent of key b?
 
-    Plain long division against the graded-lex leading term of g; only valid
-    input is Laurent polynomials (keys may sit anywhere in the lattice).
+    While |a_i - b_i| < 2^19, each field of a - b + KEY_ONE holds
+    a_i - b_i + 2^19, so a_i >= b_i exactly when the top bit of the field,
+    a bit of KEY_ONE, is set.
+    """
+    return (a - b + KEY_ONE) & KEY_ONE == KEY_ONE
+
+
+def pdivexact(f, g):
+    """Exact division f/g of Laurent polynomials, or None when g does not divide f.
+
+    An exact quotient has, in every variable, the minimum exponent of f less
+    that of g and the maximum exponent of f less that of g.  Long division
+    against the graded-lex leading term of g yields quotient monomials in
+    strictly decreasing order, so it stops at the first one outside that
+    box; this bounds the work when g does not divide f.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if not f:
         return {}
+    (f_min, f_max), (g_min, g_max) = pexp_box(f), pexp_box(g)
+    lo = encode([a - b for a, b in zip(f_min, g_min)])
+    hi = encode([a - b for a, b in zip(f_max, g_max)])
     gl = plead(g)
     glc = g[gl]
     rem = dict(f)
     quot = {}
-    # bounded by the number of quotient terms; each step removes the current
-    # leading term of the remainder
     while rem:
         rl = plead(rem)
-        rc = rem[rl]
-        qc, r = divmod(rc, glc)
+        qc, r = divmod(rem[rl], glc)
         if r:
             return None
         qk = rl - gl + KEY_ONE
+        if not (_key_ge(qk, lo) and _key_ge(hi, qk)):
+            return None
         quot[qk] = qc
         for k, c in g.items():
             kk = k + qk - KEY_ONE
@@ -486,15 +499,19 @@ class Scalar:
     def reduced(self):
         """Try to cancel the denominator by exact division; fall back to self.
 
-        Not part of canonical form; used where construction routines are known
-        to produce polynomial values hidden behind an unreduced fraction.
+        Divides the numerator by the primitive part of the denominator and
+        keeps its integer content, so that (x^2 - 1) / (2x - 2) reduces to
+        (x + 1) / 2.  Not part of canonical form; used where construction
+        routines are known to produce Laurent polynomials (over an integer)
+        hidden behind an unreduced fraction.
         """
         if len(self.den) == 1:
             return self
-        q = pdivexact(self.num, self.den)
+        content = pcontent(self.den)
+        q = pdivexact(self.num, {k: c // content for k, c in self.den.items()})
         if q is None:
             return self
-        return Scalar(q)
+        return Scalar(q, pconst(content))
 
     def specialize(self, assignment):
         """Substitute rationals for the square roots of selected variables.
@@ -525,14 +542,14 @@ class Scalar:
                 lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
             return {k: int(v * lcm) for k, v in acc.items()}, lcm
 
+        sd = subst(self.den)
+        if not sd:
+            raise ZeroDivisionError("specialization lies on the vanishing locus "
+                                    "of the denominator")
         sn = subst(self.num)
         if not sn:
             return Scalar(pzero())
-        num, ln = sn
-        den, ld = subst(self.den)
-        if not den:
-            raise ZeroDivisionError("specialization lies on the vanishing locus "
-                                    "of the denominator")
+        (num, ln), (den, ld) = sn, sd
         return Scalar(pmul_int(num, ld), pmul_int(den, ln))
 
     # -- rendering -------------------------------------------------------------
@@ -557,11 +574,6 @@ U = Scalar.var("u")
 A = Scalar.var("a")
 HBAR = T1 * T2
 HBAR_SQRT = Scalar.monomial(t1=1, t2=1)
-
-
-def hbar_power(half_exp):
-    """hbar^(half_exp/2) as a monomial scalar."""
-    return Scalar.monomial(t1=half_exp, t2=half_exp)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,11 @@ class Series:
         g = Series.one(self.ny, self.nz) - self * cinv
         return g.geom() * cinv
 
+    def reduced(self):
+        """Scalar.reduced on every coefficient."""
+        return Series({k: v.reduced() for k, v in self.coeffs.items()},
+                      self.ny, self.nz)
+
     def adams(self, k):
         """Replace every variable by its k-th power, including y and z."""
         if k < 1:

@@ -130,6 +130,23 @@ def test_vertex_table_n1():
     assert table.q_free
 
 
+def test_is_q_free_is_exact():
+    x = (Q + ONE) * T1 / (Q + ONE)
+    assert x.den != ONE.den  # the q-dependence cancels only after a gcd
+    assert checks.is_q_free(x)
+    assert checks.is_q_free(HBAR / (ONE - U))
+    assert not checks.is_q_free((Q + ONE) / (Q + T1))
+    assert not checks.is_q_free(HBAR / Q)
+
+
+def test_vertex_table_n2_entries_are_small():
+    # the matrix-inverse route gave entries of about 8000 terms
+    table = capped_vertex_table(2)
+    for num, den in table.entries.values():
+        for c in list(num.values()) + list(den.values()):
+            assert max(len(c.num), len(c.den)) <= 8
+
+
 def test_vertex_table_bounds():
     with pytest.raises(ValueError):
         capped_vertex_table(5)

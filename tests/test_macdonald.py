@@ -8,8 +8,9 @@ from hilbvertex.characters import partitions, conjugate
 from hilbvertex.macdonald import (MacdonaldBasis, macd_H, macd_H_axioms,
                                   macd_H_gram_schmidt, fixed_point_decompose,
                                   localization_sum, euler_hilb, default_basis,
-                                  Q_MACD, T_MACD)
-from hilbvertex.fock import exp_linear
+                                  norm, Q_MACD, T_MACD)
+from hilbvertex.fock import FockElement, exp_linear
+from hilbvertex.checks import closed_F
 
 rng = random.Random(4242)
 
@@ -47,10 +48,26 @@ def test_homogeneity():
             assert all(sum(mu) == n for mu in H.coeffs)
 
 
-def test_basis_nonsingular():
+def test_basis_star_orthogonal_with_closed_form_norms():
+    # <H_lam, H_mu>_* = delta * w_lam with nonzero w_lam: stronger than the
+    # nonsingularity of the change of basis to the p_mu
     basis = default_basis()
     for n in (1, 2, 3, 4):
-        basis.inverse_matrix(n)  # raises on singular input
+        for mu in partitions(n):
+            got = basis.pairings(macd_H(mu), n)
+            for lam in partitions(n):
+                assert got[lam] == (norm(lam) if lam == mu else ZERO)
+            assert not norm(mu).is_zero()
+
+
+def test_decompose_series_roundtrip():
+    for n in (1, 2, 3):
+        f = closed_F(n, 3).degree_slice(n)
+        c = fixed_point_decompose(f, n)
+        total = FockElement.zero(n)
+        for lam in partitions(n):
+            total = total + macd_H(lam) * c[lam]
+        assert total == f
 
 
 def test_conjugation_duality():

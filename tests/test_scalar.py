@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                               HBAR_SQRT, LimitError, KEY_ONE, decode,
-                               pmin_exps, plead, gaussian_solve,
-                               InconsistentSystemError)
+                               HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
+                               pmin_exps, plead, gaussian_solve, pdivexact,
+                               pmul, pone, pconst, InconsistentSystemError)
 
 rng = random.Random(20240817)
 
@@ -143,3 +144,58 @@ def test_equality_is_mathematical_not_structural():
 def test_gaussian_solve_inconsistent():
     with pytest.raises(InconsistentSystemError):
         gaussian_solve([[ONE], [ONE]], [ONE, ONE + ONE])
+
+
+# Laurent polynomials in t1, t2, u with doubled exponents in [-4, 4]
+laurent = st.dictionaries(
+    st.tuples(*[st.integers(-4, 4)] * 3).map(
+        lambda e: encode((e[0], e[1], 0, e[2], 0))),
+    st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent, laurent.filter(bool))
+def test_pdivexact_recovers_factor(f, g):
+    assert pdivexact(pmul(f, g), g) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent, laurent.filter(bool))
+def test_pdivexact_quotient_is_exact_or_none(f, g):
+    # terminates on every input, and a returned quotient is exact
+    q = pdivexact(f, g)
+    assert q is None or pmul(q, g) == f
+
+
+def test_pdivexact_not_exact_terminates():
+    assert pdivexact(pone(), (ONE - T1).num) is None
+    assert pdivexact((ONE + T1 ** 3).num, (ONE - T1).num) is None
+    assert pdivexact((T2 + T1).num, (T1 + ONE).num) is None
+    # 2 does not divide 1 + t1 over the integers
+    assert pdivexact((ONE + T1).num, pconst(2)) is None
+
+
+def laurent_poly(*terms):
+    """{key: c} from (c, t1 exponent, t2 exponent) triples."""
+    return {encode((2 * e1, 2 * e2, 0, 0, 0)): c for c, e1, e2 in terms}
+
+
+def test_pdivexact_laurent_examples():
+    f = laurent_poly((1, -3, 0), (-1, 2, 1))
+    g = laurent_poly((1, -1, -2))
+    assert pdivexact(f, g) == laurent_poly((1, -2, 2), (-1, 3, 3))
+    f = laurent_poly((1, 0, -1), (-1, 4, -1))
+    g = laurent_poly((1, 2, 0), (-1, 0, 0))
+    assert pdivexact(f, g) == laurent_poly((-1, 0, -1), (-1, 2, -1))
+    assert pdivexact(laurent_poly((1, 0, -1)), g) is None
+
+
+def test_reduced_keeps_integer_content():
+    x = (T1 ** 2 - ONE) / (Scalar.from_int(2) * T1 - 2)
+    assert len(x.den) == 2
+    r = x.reduced()
+    assert r.den == pconst(2)
+    assert r == (T1 + ONE) / 2
+    # not a Laurent polynomial over an integer: unchanged
+    y = ONE / (ONE - T1)
+    assert y.reduced().num == y.num and y.reduced().den == y.den
