@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .scalar import ResourceLimitError
 from . import checks as checks_mod
@@ -41,25 +40,6 @@ def _env(name, cast=str):
     if raw is None:
         return None
     return cast(raw)
-
-
-def _parse_specialize(pairs):
-    out = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise ConfigError(f"bad specialization {item!r}, expected var=rat")
-        name, _, val = item.partition("=")
-        if name not in ("t1", "t2", "q", "u", "a"):
-            raise ConfigError(f"unknown variable {name!r}")
-        try:
-            out[name] = Fraction(val)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ConfigError(f"bad rational {val!r}: {e}")
-    if out and len(set(out.values())) != len(out):
-        raise ConfigError("specialization values must be pairwise distinct")
-    if any(v == 0 for v in out.values()):
-        raise ConfigError("specialization values must be nonzero")
-    return out
 
 
 def _bounds_check(args):
@@ -107,7 +87,6 @@ def cmd_verify(args):
         reports = [results[t] for t in targets]
     else:
         reports = [_run_named(w)[1] for w in work]
-    spec = _parse_specialize(args.specialize)
     all_pass = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -116,12 +95,7 @@ def cmd_verify(args):
               f"({rep.seconds:.2f}s)")
         if not rep.passed:
             print(json.dumps(rep.details, indent=2, sort_keys=True))
-    if spec:
-        print(f"note: specialization {args.specialize} recorded in report")
     payload = [dict(rep.to_dict(), seconds=None) for rep in reports]
-    if spec:
-        for row in payload:
-            row["specialization"] = {k: str(v) for k, v in spec.items()}
     text = _format_reports(payload, args.format)
     if args.out:
         _emit(text, args.out)
@@ -252,9 +226,6 @@ def build_parser():
                         default=_env("FORMAT") or "json")
         sp.add_argument("--out", default=_env("OUT"))
         sp.add_argument("--jobs", type=int, default=_env("JOBS", int) or 1)
-        sp.add_argument("--specialize", action="append", metavar="var=rat",
-                        help="rational value for the square root of a "
-                             "variable, e.g. t1=2/3 sets t1=(2/3)^2")
         sp.add_argument("--conventions", default=_env("CONVENTIONS"),
                         help="path of a frozen-conventions file")
 

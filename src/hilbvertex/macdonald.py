@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
-                     pmul, pmul_int, decode, encode, VARIABLES, bareiss_det)
+                     pmul, pmul_int, decode, encode, VARIABLES, bareiss_solve)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
 from .fock import FockElement
@@ -282,13 +282,9 @@ def macd_P(n):
         rows = [_clear_row([gram[(nu, mu)] for nu in lower]
                            + [gram[(lam, mu)]]) for mu in lower]
         k = len(lower)
-        D = bareiss_det([r[:k] for r in rows])
-        # Cramer: coefficient of m_nu is -det(column nu -> rhs) / D;
-        # assemble every p-coefficient as one fraction over L*D
-        dets = []
-        for j in range(k):
-            col = [r[:j] + [r[k]] + r[j + 1:k] for r in rows]
-            dets.append(bareiss_det(col))
+        # coefficient of m_nu is -dets[j] / D; assemble every p-coefficient
+        # as one fraction over L*D
+        D, dets = bareiss_solve([r[:k] for r in rows], [r[k] for r in rows])
         L = 1
         for coeffs in [m2p_frac[lam]] + [m2p_frac[nu] for nu in lower]:
             for v in coeffs.values():

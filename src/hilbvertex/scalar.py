@@ -45,7 +45,16 @@ class ResourceLimitError(RuntimeError):
 
 
 class InconsistentSystemError(ArithmeticError):
-    """Raised by gaussian_solve when the linear system has no solution."""
+    """Raised when a linear system has no solution."""
+
+
+class ProbeSingularError(InconsistentSystemError):
+    """Raised by solve_poly_system when every probe point makes it singular.
+
+    The system may still be consistent: its solution is not unique, or the
+    probe points all lie on the vanishing locus of its determinants.  A
+    subclass, so callers that fall back to gaussian_solve still catch it.
+    """
 
 
 def encode(exps):
@@ -220,11 +229,18 @@ def _key_ge(a, b):
 def pdivexact(f, g):
     """Exact division f/g of Laurent polynomials, or None when g does not divide f.
 
+    Long division takes the leading term as the largest packed key.  The
+    fields are biased and non-negative, so integer order on keys is the
+    lex order a > u > q > t2 > t1 on exponents; monomial multiplication is
+    key addition, and integer order is translation invariant, so this is a
+    monomial order and lead(q*g) = lead(q) + lead(g).  Finding the lead is a
+    C-level max over ints, with no decoding.
+
     An exact quotient has, in every variable, the minimum exponent of f less
-    that of g and the maximum exponent of f less that of g.  Long division
-    against the graded-lex leading term of g yields quotient monomials in
-    strictly decreasing order, so it stops at the first one outside that
-    box; this bounds the work when g does not divide f.
+    that of g and the maximum exponent of f less that of g.  The quotient
+    monomials come out in strictly decreasing order, so division stops at
+    the first one outside that box; this bounds the work when g does not
+    divide f.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -233,12 +249,12 @@ def pdivexact(f, g):
     (f_min, f_max), (g_min, g_max) = pexp_box(f), pexp_box(g)
     lo = encode([a - b for a, b in zip(f_min, g_min)])
     hi = encode([a - b for a, b in zip(f_max, g_max)])
-    gl = plead(g)
+    gl = max(g)
     glc = g[gl]
     rem = dict(f)
     quot = {}
     while rem:
-        rl = plead(rem)
+        rl = max(rem)
         qc, r = divmod(rem[rl], glc)
         if r:
             return None
@@ -620,27 +636,28 @@ def gaussian_solve(rows, rhs):
     return x
 
 
-def bareiss_det(matrix):
-    """Fraction-free determinant of a matrix of polynomial dicts.
+def _bareiss(m, n):
+    """Fraction-free forward elimination, in place, on the first n columns.
 
-    Entries are plain polynomial dicts; every division in the Bareiss
-    recurrence is exact, so all intermediate values stay polynomial.
+    `m` holds n rows of polynomial dicts; columns past the n-th (a right-hand
+    side) are carried along.  Afterwards the first n columns are upper
+    triangular and every division of the Bareiss recurrence was exact, so
+    the last pivot m[n-1][n-1] is the determinant of the row-permuted
+    matrix.  Returns the sign of that permutation, or 0 when the first n
+    columns are singular.
     """
-    n = len(matrix)
-    if n == 0:
-        return pone()
-    m = [list(r) for r in matrix]
+    width = len(m[0])
     sign = 1
     prev = pone()
     for r in range(n - 1):
         if not m[r][r]:
             piv = next((i for i in range(r + 1, n) if m[i][r]), None)
             if piv is None:
-                return {}
+                return 0
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         for i in range(r + 1, n):
-            for j in range(r + 1, n):
+            for j in range(r + 1, width):
                 num = psub(pmul(m[r][r], m[i][j]), pmul(m[i][r], m[r][j]))
                 q = pdivexact(num, prev)
                 if q is None:
@@ -648,8 +665,51 @@ def bareiss_det(matrix):
                 m[i][j] = q
             m[i][r] = {}
         prev = m[r][r]
-    det = m[n - 1][n - 1]
+    return sign if m[n - 1][n - 1] else 0
+
+
+def bareiss_det(matrix):
+    """Fraction-free determinant of a square matrix of polynomial dicts."""
+    n = len(matrix)
+    if n == 0:
+        return pone()
+    m = [list(r) for r in matrix]
+    sign = _bareiss(m, n)
+    det = m[n - 1][n - 1] if sign else {}
     return pneg(det) if sign < 0 else det
+
+
+def bareiss_solve(matrix, rhs):
+    """Fraction-free solve of a square system A x = b of polynomial dicts.
+
+    Returns (D, [N_j]) with D = det(A) and x_j = N_j / D, so N_j is the
+    Cramer numerator det(A with column j replaced by b).  Bareiss forward
+    elimination runs on [A | b]; back-substitution then computes
+    N_i = (D b'_i - sum_{j>i} a'_ij N_j) / a'_ii, where every division is
+    exact because N_i is a polynomial.  Raises ZeroDivisionError when A is
+    singular.
+    """
+    n = len(matrix)
+    if n == 0:
+        return pone(), []
+    m = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    sign = _bareiss(m, n)
+    if not sign:
+        raise ZeroDivisionError("singular matrix")
+    D = m[n - 1][n - 1]
+    nums = [None] * n
+    nums[n - 1] = m[n - 1][n]  # D b' / a'_{n-1,n-1}, and a'_{n-1,n-1} = D
+    for i in range(n - 2, -1, -1):
+        acc = pmul(D, m[i][n])
+        for j in range(i + 1, n):
+            acc = psub(acc, pmul(m[i][j], nums[j]))
+        x = pdivexact(acc, m[i][i])
+        if x is None:
+            raise ArithmeticError("back-substitution division was not exact")
+        nums[i] = x
+    if sign < 0:
+        return pneg(D), [pneg(x) for x in nums]
+    return D, nums
 
 
 def eval_poly(poly, point):
@@ -684,10 +744,12 @@ def solve_poly_system(rows, rhs):
 
     `rows` is a list of lists of polynomial dicts, `rhs` a list of
     polynomial dicts; the system must have a unique solution.  A rational
-    specialization picks a square invertible subsystem, Cramer with the
-    fraction-free determinant solves it, and the remaining equations are
-    verified symbolically.  Returns a list of Scalars; raises
-    InconsistentSystemError when verification fails.
+    specialization picks a square invertible subsystem, bareiss_solve gives
+    its solution as numerators N_j over one determinant D, and every
+    equation, the picked ones included, is verified as the polynomial
+    identity sum_j row_j N_j == rhs D.  Returns a list of Scalars N_j / D.
+    Raises ProbeSingularError when no probe point gives an invertible
+    subsystem, and InconsistentSystemError when verification fails.
     """
     m, n = len(rows), len(rows[0])
     chosen = None
@@ -714,24 +776,18 @@ def solve_poly_system(rows, rhs):
             chosen = picked
             break
     if chosen is None:
-        raise InconsistentSystemError(
-            "no invertible square subsystem found at the probe points")
-    sub = [rows[r] for r in chosen]
-    sub_rhs = [rhs[r] for r in chosen]
-    D = bareiss_det(sub)
-    sols = []
-    for j in range(n):
-        col = [r[:j] + [b] + r[j + 1:] for r, b in zip(sub, sub_rhs)]
-        sols.append(Scalar(bareiss_det(col), dict(D)))
-    # verify every equation exactly
+        raise ProbeSingularError(
+            f"{m} x {n} system is singular at every probe point")
+    D, nums = bareiss_solve([rows[r] for r in chosen],
+                            [rhs[r] for r in chosen])
     for row, b in zip(rows, rhs):
-        acc = ZERO
-        for e, x in zip(row, sols):
-            if e and not x.is_zero():
-                acc = acc + Scalar(dict(e)) * x
-        if acc != Scalar(dict(b)):
+        acc = {}
+        for e, x in zip(row, nums):
+            if e and x:
+                acc = padd(acc, pmul(e, x))
+        if acc != pmul(b, D):
             raise InconsistentSystemError("polynomial system is inconsistent")
-    return sols
+    return [Scalar(x, dict(D)) for x in nums]
 
 
 def invert_matrix(rows):

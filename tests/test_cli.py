@@ -42,13 +42,9 @@ def test_negative_control_exit_one():
 
 
 def test_specialize_validation():
+    # the flag was never applied to any output, so it is no longer accepted
     assert main(["verify", "ook", "--ymax", "1", "--zmax", "1",
-                 "--specialize", "t1=0"]) == EXIT_USAGE
-    assert main(["verify", "ook", "--ymax", "1", "--zmax", "1",
-                 "--specialize", "t1=2/3", "--specialize", "t2=2/3"]) \
-        == EXIT_USAGE
-    assert main(["verify", "ook", "--ymax", "1", "--zmax", "1",
-                 "--specialize", "bogus"]) == EXIT_USAGE
+                 "--specialize", "t1=2/3"]) == EXIT_USAGE
 
 
 def test_series_taubar_trivial(tmp_path):

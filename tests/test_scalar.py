@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
                                pmin_exps, plead, gaussian_solve, pdivexact,
-                               pmul, pone, pconst, InconsistentSystemError)
+                               pmul, pone, pconst, padd, psub, key_mul,
+                               bareiss_det, bareiss_solve, solve_poly_system,
+                               InconsistentSystemError, ProbeSingularError)
 
 rng = random.Random(20240817)
 
@@ -199,3 +201,87 @@ def test_reduced_keeps_integer_content():
     # not a Laurent polynomial over an integer: unchanged
     y = ONE / (ONE - T1)
     assert y.reduced().num == y.num and y.reduced().den == y.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent.filter(bool), laurent.filter(bool))
+def test_max_key_is_a_monomial_order(f, g):
+    # the largest packed key of a product is the product of the largest keys,
+    # which is what lets pdivexact take max() as its leading term
+    assert max(pmul(f, g)) == key_mul(max(f), max(g))
+
+
+def laplace_det(matrix):
+    """Determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return pone()
+    det = {}
+    for j, e in enumerate(matrix[0]):
+        if not e:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        term = pmul(e, laplace_det(minor))
+        det = psub(det, term) if j % 2 else padd(det, term)
+    return det
+
+
+small_laurent = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 3).map(
+        lambda e: encode((e[0], e[1], 0, e[2], 0))),
+    st.integers(-3, 3).filter(bool), max_size=3)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 3))
+    matrix = [[draw(small_laurent) for _ in range(n)] for _ in range(n)]
+    return matrix, [draw(small_laurent) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_systems())
+def test_bareiss_solve_matches_cramer(system):
+    matrix, rhs = system
+    det = laplace_det(matrix)
+    assert bareiss_det(matrix) == det
+    if not det:
+        with pytest.raises(ZeroDivisionError):
+            bareiss_solve(matrix, rhs)
+        return
+    D, nums = bareiss_solve(matrix, rhs)
+    assert D == det
+    for j, x in enumerate(nums):
+        col = [row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]
+        assert x == laplace_det(col)
+    for row, b in zip(matrix, rhs):
+        acc = {}
+        for e, x in zip(row, nums):
+            acc = padd(acc, pmul(e, x))
+        assert acc == pmul(b, D)
+
+
+def test_solve_poly_system_overdetermined():
+    # three equations in two unknowns with the solution ((1+t1)/d, (t2-u)/d)
+    d = (ONE + T1 * T2).num
+    a = [[(T1 + U).num, (ONE - T2).num],
+         [(T2 ** 2).num, (T1 - ONE).num],
+         [(U + 2).num, (T1 * U).num]]
+    x = [(ONE + T1).num, (T2 - U).num]
+    rows = [[pmul(d, e) for e in row] for row in a]
+    rhs = [padd(pmul(r[0], x[0]), pmul(r[1], x[1])) for r in a]
+    sol = solve_poly_system(rows, rhs)
+    assert sol == [(ONE + T1) / (ONE + T1 * T2), (T2 - U) / (ONE + T1 * T2)]
+    rhs[2] = padd(rhs[2], pone())
+    with pytest.raises(InconsistentSystemError) as err:
+        solve_poly_system(rows, rhs)
+    assert not isinstance(err.value, ProbeSingularError)
+
+
+def test_solve_poly_system_singular_at_probe_points():
+    # (2s - 3)(5s - 2)(6s - 11) with s = t1^(1/2) vanishes at all three
+    # probe points, though the 1 x 1 system is uniquely solvable
+    s = Scalar.sqrt_var("t1")
+    entry = ((2 * s - 3) * (5 * s - 2) * (6 * s - 11)).num
+    with pytest.raises(ProbeSingularError, match="1 x 1"):
+        solve_poly_system([[entry]], [pone()])
+    assert issubclass(ProbeSingularError, InconsistentSystemError)
