@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .scalar import ResourceLimitError
+from .scalar import ResourceLimitError, prender
 from . import checks as checks_mod
 from .checks import (run_check, calibrate, write_conventions,
                      load_conventions, capped_vertex_table, closed_F,
@@ -43,8 +43,7 @@ def _env(name, cast=str):
 
 
 def _bounds_check(args):
-    y = args.ymax
-    z = getattr(args, "zmax", None)
+    y, z = args.ymax, args.zmax
     if y is not None and not 0 <= y <= HARD_Y_BOUND:
         raise ConfigError(f"--ymax must lie in [0, {HARD_Y_BOUND}]")
     if z is not None and not 0 <= z <= HARD_Z_BOUND:
@@ -117,28 +116,18 @@ def _format_reports(payload, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _fock_payload(f, zmax):
+def _fock_payload(f):
     rows = []
     for mu in sorted(f.coeffs, key=lambda m: (sum(m), m)):
         c = f.coeffs[mu]
         if hasattr(c, "coeffs"):  # z-series coefficient
             for (iy, iz), v in sorted(c.coeffs.items()):
                 rows.append({"y": sum(mu), "z": iz, "p": list(mu),
-                             "num": _num_text(v), "den": _den_text(v)})
+                             "num": prender(v.num), "den": prender(v.den)})
         else:
             rows.append({"y": sum(mu), "z": 0, "p": list(mu),
-                         "num": _num_text(c), "den": _den_text(c)})
+                         "num": prender(c.num), "den": prender(c.den)})
     return rows
-
-
-def _num_text(v):
-    from .scalar import prender
-    return prender(v.num)
-
-
-def _den_text(v):
-    from .scalar import prender
-    return prender(v.den)
 
 
 def cmd_series(args):
@@ -153,7 +142,7 @@ def cmd_series(args):
         f = mellit_exponential(y)
     else:
         raise ConfigError(f"unknown series target {args.target!r}")
-    rows = _fock_payload(f, z)
+    rows = _fock_payload(f)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -217,17 +206,22 @@ def build_parser():
                     "function identities for Hilbert schemes of points.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, zflag=True):
-        sp.add_argument("--ymax", type=int, default=_env("YMAX", int))
-        if zflag:
-            sp.add_argument("--zmax", type=int, default=_env("ZMAX", int))
-        sp.add_argument("--n", type=int, default=_env("N", int))
-        sp.add_argument("--format", choices=("json", "csv", "text"),
-                        default=_env("FORMAT") or "json")
-        sp.add_argument("--out", default=_env("OUT"))
-        sp.add_argument("--jobs", type=int, default=_env("JOBS", int) or 1)
-        sp.add_argument("--conventions", default=_env("CONVENTIONS"),
-                        help="path of a frozen-conventions file")
+    # each subcommand registers only the flags its handler reads
+    flags = {
+        "ymax": dict(type=int, default=_env("YMAX", int)),
+        "zmax": dict(type=int, default=_env("ZMAX", int)),
+        "n": dict(type=int, default=_env("N", int)),
+        "format": dict(choices=("json", "csv", "text"),
+                       default=_env("FORMAT") or "json"),
+        "out": dict(default=_env("OUT")),
+        "jobs": dict(type=int, default=_env("JOBS", int) or 1),
+        "conventions": dict(default=_env("CONVENTIONS"),
+                            help="path of a frozen-conventions file"),
+    }
+
+    def add_flags(sp, *names):
+        for name in names:
+            sp.add_argument(f"--{name}", **flags[name])
 
     sp = sub.add_parser("verify", help="run verification checks")
     sp.add_argument("targets", nargs="*",
@@ -235,20 +229,20 @@ def build_parser():
     sp.add_argument("--orientation", choices=("arms_t1", "arms_t2"),
                     help="override the calibrated tangent orientation "
                          "(negative control)")
-    common(sp)
+    add_flags(sp, "ymax", "zmax", "n", "format", "out", "jobs", "conventions")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("series", help="emit a generating function")
     sp.add_argument("target", choices=("F", "osum", "taubar"))
-    common(sp)
+    add_flags(sp, "ymax", "zmax", "format", "out")
     sp.set_defaults(fn=cmd_series)
 
     sp = sub.add_parser("vertex", help="write a capped vertex table")
-    common(sp)
+    add_flags(sp, "zmax", "n", "format", "out")
     sp.set_defaults(fn=cmd_vertex)
 
     sp = sub.add_parser("calibrate", help="re-derive and freeze conventions")
-    common(sp)
+    add_flags(sp, "out", "conventions")
     sp.add_argument("--evidence", action="store_true",
                     help="embed the calibration reports in the file")
     sp.set_defaults(fn=cmd_calibrate)

@@ -17,7 +17,10 @@ independent constructions are provided:
 
 Also here: the calibrated fixed-point Euler factor (the tangent character
 with every weight squared, fed to the Koszul product), decomposition into
-the H-basis, and localization sums over fixed points of a given degree.
+the H-basis, and the localization sum over fixed points of a given degree.
+The identity checks do not expand that sum: they pair each side with one
+H_lam at a time (see below), and localization_sum is the direct reference
+sum they are tested against.
 
 Decomposition uses the Garsia-Haiman *-scalar product
 
@@ -27,13 +30,15 @@ under which the H_lam are orthogonal with the closed-form norms
 w_lam = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1)) (Garsia-Tesler,
 Adv. Math. 1996; Haiman, "Combinatorics, symmetric functions and Hilbert
 schemes", 2003).  So the H_lam coefficient of f is <f, H_lam>_* / w_lam and
-no linear algebra is needed.
+no linear algebra is needed.  MacdonaldBasis.check_orthogonal certifies the
+orthogonality for the basis actually built.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
-from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
+from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, padd,
                      pmul, pmul_int, decode, encode, VARIABLES, bareiss_solve)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
@@ -402,21 +407,10 @@ def macd_H_axioms(n):
 # calibrated Euler factor of the fixed points
 # ---------------------------------------------------------------------------
 
-def euler_hilb_factors(lam, orientation="arms_t1"):
-    """Koszul factors of the fixed-point Euler class, weights squared."""
-    num, den = tangent_hilb(lam, orientation).adams(2).lambda_factors()
-    return num, den
-
-
 def euler_hilb(lam, orientation="arms_t1"):
-    num_f, den_f = euler_hilb_factors(lam, orientation)
-    num = pone()
-    for f in num_f:
-        num = pmul(num, f)
-    den = pone()
-    for f in den_f:
-        den = pmul(den, f)
-    return Scalar(num, den)
+    """Fixed-point Euler class: Koszul product of the squared tangent weights."""
+    num_f, den_f = tangent_hilb(lam, orientation).adams(2).lambda_factors()
+    return Scalar(reduce(pmul, num_f, pone()), reduce(pmul, den_f, pone()))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +446,7 @@ class MacdonaldBasis:
         self.orientation = orientation
         self.max_degree = max_degree
         self._H = {}
+        self._orthogonal = set()
 
     def build_degree(self, n):
         if n > self.max_degree:
@@ -496,64 +491,33 @@ class MacdonaldBasis:
         return {lam: p * norm(lam).inverse()
                 for lam, p in self.pairings(f, n).items()}
 
+    def check_orthogonal(self, n):
+        """Certify <H_lam, H_mu>_* = delta_lam,mu w_lam at degree n, once.
+
+        Reading H_lam coefficients through pairings is exact only on a
+        *-orthogonal basis, so the checks certify the basis they use.  Raises
+        ArithmeticError naming the first (lam, mu) that fails.
+        """
+        if n in self._orthogonal:
+            return
+        for mu in partitions(n):
+            for lam, p in self.pairings(self.H(mu), n).items():
+                if p != (norm(lam) if lam == mu else ZERO):
+                    raise ArithmeticError(f"<H_{lam}, H_{mu}>_* is not "
+                                          f"{'w_lam' if lam == mu else 0}")
+        self._orthogonal.add(n)
+
     def localization_sum(self, eig, n):
         """sum over |lam| = n of eig(lam) H_lam / Euler(lam), exactly.
 
-        Accumulates over a shared expanded denominator, multiplying in the
-        two-term Koszul factors one at a time; this is what makes the
-        degree-5 identity checks run in seconds.
+        The direct reference sum.  The identity checks never expand it: they
+        compare each fixed point's H_lam coefficient through pairings.
         """
-        self.build_degree(n)
-        parts = partitions(n)
-        mus = partitions(n)
-        nums = {mu: pzero() for mu in mus}
-        D = pone()
-        for lam in parts:
-            Hrow = self._H[n][lam]
-            e = eig(lam)
-            num_f, den_f = euler_hilb_factors(lam, self.orientation)
-            # term_mu = (e.num * H_num_mu * prod(den_f)) /
-            #           (e.den * H_den_mu * prod(num_f))
-            # write every H coefficient over one shared integer denominator
-            int_dens = {}
-            for mu, v in Hrow.items():
-                if len(v.den) != 1 or next(iter(v.den)) != KEY_ONE:
-                    int_dens = None
-                    break
-                int_dens[mu] = v.den[KEY_ONE]
-            lam_factors = list(num_f) + [dict(e.den)]
-            if int_dens is None:
-                # rare fallback: polynomial denominators folded individually
-                lam_factors += [dict(v.den) for v in Hrow.values()]
-                scaled = {}
-                for mu, v in Hrow.items():
-                    acc = dict(v.num)
-                    for nu, w in Hrow.items():
-                        if nu != mu:
-                            acc = pmul(acc, w.den)
-                    scaled[mu] = acc
-            else:
-                L = 1
-                for d in int_dens.values():
-                    g = gcd(L, d)
-                    L = L // g * d
-                lam_factors += [pconst(L)]
-                scaled = {mu: pmul_int(v.num, L // int_dens[mu])
-                          for mu, v in Hrow.items()}
-            new_terms = {mu: pmul(pmul(e.num, poly), D)
-                         for mu, poly in scaled.items()}
-            for f in den_f:
-                for mu in new_terms:
-                    new_terms[mu] = pmul(new_terms[mu], f)
-            for f in lam_factors:
-                for mu in mus:
-                    if nums[mu]:
-                        nums[mu] = pmul(nums[mu], f)
-                D = pmul(D, f)
-            for mu, poly in new_terms.items():
-                nums[mu] = padd(nums[mu], poly)
-        return FockElement({mu: Scalar(nums[mu], dict(D)) for mu in mus
-                            if nums[mu]}, n)
+        total = FockElement.zero(n)
+        for lam in partitions(n):
+            total = total + self.H(lam) * (eig(lam)
+                                           / euler_hilb(lam, self.orientation))
+        return total
 
 
 _DEFAULT_BASIS = None

@@ -52,8 +52,9 @@ class ProbeSingularError(InconsistentSystemError):
     """Raised by solve_poly_system when every probe point makes it singular.
 
     The system may still be consistent: its solution is not unique, or the
-    probe points all lie on the vanishing locus of its determinants.  A
-    subclass, so callers that fall back to gaussian_solve still catch it.
+    probe points all lie on the vanishing locus of its determinants.  No
+    caller retries with another solver; it is a subclass only so that code
+    catching InconsistentSystemError sees every failed solve.
     """
 
 

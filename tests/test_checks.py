@@ -31,9 +31,23 @@ def test_kernel_wrong_orientation_witness_at_y2():
     assert not rep.passed
     assert rep.outcome == "mismatch"
     assert rep.details["degree"] == 2
+    assert tuple(rep.details["fixed_point"]) in partitions(2)
     # a mismatch always carries a concrete witness with both values
     assert "localization_side" in rep.details
     assert "exponential_side" in rep.details
+
+
+def test_mellit_wrong_eigenvalue_names_its_fixed_point(monkeypatch):
+    right = checks.mellit_eigenvalue
+
+    def doubled(lam):
+        return right(lam) * 2 if lam == (2, 1) else right(lam)
+
+    monkeypatch.setattr(checks, "mellit_eigenvalue", doubled)
+    rep = check_mellit(3)
+    assert rep.outcome == "mismatch"
+    assert rep.details["degree"] == 3
+    assert rep.details["fixed_point"] == [2, 1]
 
 
 def test_mellit_small_orders():

@@ -47,6 +47,15 @@ def test_specialize_validation():
                  "--specialize", "t1=2/3"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "osum", "--jobs", "2"],
+    ["vertex", "--ymax", "3"],
+    ["calibrate", "--format", "csv"],
+])
+def test_subcommand_rejects_flags_it_ignores(argv):
+    assert main(argv) == EXIT_USAGE
+
+
 def test_series_taubar_trivial(tmp_path):
     out = tmp_path / "s.json"
     assert main(["series", "taubar", "--ymax", "0",

@@ -10,7 +10,7 @@ from hilbvertex.macdonald import (MacdonaldBasis, macd_H, macd_H_axioms,
                                   localization_sum, euler_hilb, default_basis,
                                   norm, Q_MACD, T_MACD)
 from hilbvertex.fock import FockElement, exp_linear
-from hilbvertex.checks import closed_F
+from hilbvertex.checks import closed_F, check_kernel_identity
 
 rng = random.Random(4242)
 
@@ -58,6 +58,17 @@ def test_basis_star_orthogonal_with_closed_form_norms():
             for lam in partitions(n):
                 assert got[lam] == (norm(lam) if lam == mu else ZERO)
             assert not norm(mu).is_zero()
+
+
+def test_corrupted_basis_fails_certification():
+    basis = MacdonaldBasis()
+    basis.build_degree(2)
+    basis._H[2][(1, 1)] = basis._H[2][(2,)]
+    with pytest.raises(ArithmeticError):
+        basis.check_orthogonal(2)
+    # the identity check certifies the basis first, so it cannot pass
+    with pytest.raises(ArithmeticError):
+        check_kernel_identity(2, basis=basis)
 
 
 def test_decompose_series_roundtrip():
