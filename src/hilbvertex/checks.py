@@ -7,6 +7,8 @@ witness.  The resolved-convention record travels with every report so runs
 are auditable: tangent orientation, Euler convention, the structure-sheaf
 sign transport, the validated limit normalization, and the argument
 shift/reading that reconciles the derived and closed generating functions.
+The derived side is computed on one Fock factor; the tensor-square route of
+fock.py is its reference.
 """
 
 import json
@@ -16,9 +18,9 @@ from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                      LimitError, VARIABLES, decode, pmul)
 from .series import Series, rational_reconstruct, ReconstructionError
 from .characters import (partitions, boxes, size, fixed_points_rank2,
-                         chern_eigen, o_line_eigen, delta_11, tangent_hilb)
-from .fock import (FockElement, exp_linear, pexp, tensor_exp, jj0_substitute,
-                   project_second, JJ0_READINGS)
+                         chern_eigen, o_line_eigen, delta_11)
+from .fock import (FockElement, exp_linear, pexp, jj0_correction,
+                   JJ0_READINGS)
 from .macdonald import MacdonaldBasis, default_basis, euler_hilb, norm
 
 _Q_INDEX = VARIABLES.index("q")
@@ -223,18 +225,28 @@ def closed_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
     return exp_linear(c, Ny, one=Series.one(0, Nz))
 
 
-def build_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER, reading="printed"):
-    """The derivation route: tensor exponential of the descendent-by-structure
-    sheaf product, the fusion-ratio substitution, then projection to the
-    first factor."""
+def _fusion_exponents(Ny, Nz):
+    """c_k and d_k of the descendent and structure-sheaf exponents,
+    exp(sum_k c_k p^(1)_k + sum_k d_k p^(2)_k) on the tensor square."""
     c, d = {}, {}
     for k in range(1, Ny + 1):
         den = _coeff_den(k)
         c[k] = Series.const(_hbar2k(k) * (ONE - U ** k) / den, 0, Nz)
         d[k] = Series.const(_hbar2k(k) * ((-1) ** k) / den, 0, Nz)
-    T = tensor_exp(c, d, Ny)
-    T = jj0_substitute(T, reading=reading)
-    return project_second(T)
+    return c, d
+
+
+def build_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER, reading="printed"):
+    """The derivation: substitute p^(2)_k -> p^(2)_k + gamma_k p^(1)_k in the
+    tensor exponential of the exponents, then project to the first factor.
+
+    Substitution then projection is the degree-preserving ring map p^(1)_k ->
+    p_k, p^(2)_k -> gamma_k p_k, which commutes with exp and truncation; so
+    F = exp(sum_k (c_k + gamma_k d_k) p_k), equal to the tensor-square route.
+    """
+    c, d = _fusion_exponents(Ny, Nz)
+    return exp_linear({k: c[k] + jj0_correction(k, 0, Nz, reading) * d[k]
+                       for k in c}, Ny, one=Series.one(0, Nz))
 
 
 def ook_argument(Nz):

@@ -165,8 +165,11 @@ def cmd_vertex(args):
     n = args.n if args.n is not None else 1
     if not 0 <= n <= 4:
         raise ConfigError("--n must lie in [0, 4] for vertex tables")
-    zmax = args.zmax
-    table = capped_vertex_table(n, zmax)
+    # the table needs z-order n(n+1) + 2 at least, so that is always allowed
+    zbound = max(HARD_Z_BOUND, n * (n + 1) + 2)
+    if args.zmax is not None and args.zmax > zbound:
+        raise ConfigError(f"--zmax must be at most {zbound} for --n {n}")
+    table = capped_vertex_table(n, args.zmax)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)

@@ -219,16 +219,6 @@ def s_in_p(lam, _cache={}):
     return result
 
 
-def hall_pairing(f, g):
-    """Hall inner product of two p-basis dicts with Fraction coefficients."""
-    s = Fraction(0)
-    for mu, a in f.items():
-        b = g.get(mu)
-        if b:
-            s += a * b * z_mu(mu)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # the two construction routes
 # ---------------------------------------------------------------------------

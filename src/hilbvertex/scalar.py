@@ -82,10 +82,6 @@ def key_inv(k):
     return 2 * KEY_ONE - k
 
 
-def key_pow(k, n):
-    return n * (k - KEY_ONE) + KEY_ONE
-
-
 def key_var(name, doubled=2):
     exps = [0] * NVARS
     exps[VARIABLES.index(name)] = doubled

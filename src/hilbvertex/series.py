@@ -69,9 +69,6 @@ class Series:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def truncate(self, ny, nz):
-        return Series(self.coeffs, min(self.ny, ny), min(self.nz, nz))
-
     # -- arithmetic ---------------------------------------------------------------
 
     @staticmethod
@@ -238,11 +235,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.render()}; ny={self.ny}, nz={self.nz})"
-
-
-def geom(g):
-    """Module-level alias for Series.geom, matching the operation name."""
-    return g.geom()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
 from hilbvertex.series import Series
 from hilbvertex.characters import partitions
+from hilbvertex.fock import (JJ0_READINGS, tensor_exp, jj0_substitute,
+                             project_second)
 from hilbvertex.macdonald import MacdonaldBasis
 from hilbvertex import checks
 from hilbvertex.checks import (check_kernel_identity, check_mellit,
@@ -107,6 +109,13 @@ def test_build_F_at_z0_is_descendent_exponential():
     taubar = checks.mellit_exponential(2)
     for mu in [(), (1,), (2,), (1, 1)]:
         assert F.coefficient(mu).coefficient(0, 0) == taubar.coefficient(mu)
+
+
+@pytest.mark.parametrize("reading", JJ0_READINGS)
+def test_build_F_equals_tensor_square_route(reading):
+    c, d = checks._fusion_exponents(3, 4)
+    T = jj0_substitute(tensor_exp(c, d, 3), reading=reading)
+    assert build_F(3, 4, reading=reading) == project_second(T)
 
 
 def test_check_main_finds_unique_shift():

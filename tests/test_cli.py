@@ -33,6 +33,7 @@ def test_verify_unknown_target_exit_two():
 
 def test_vertex_bound_error():
     assert main(["vertex", "--n", "5"]) == EXIT_USAGE
+    assert main(["vertex", "--n", "1", "--zmax", "40"]) == EXIT_USAGE
 
 
 def test_negative_control_exit_one():
