@@ -23,7 +23,8 @@ from . import checks as checks_mod
 from .checks import (run_check, calibrate, write_conventions,
                      load_conventions, capped_vertex_table, closed_F,
                      osum_exponential, mellit_exponential, CHECK_NAMES,
-                     HARD_Y_BOUND, HARD_Z_BOUND, DEFAULT_CONVENTIONS)
+                     MIN_ORDERS, HARD_Y_BOUND, HARD_Z_BOUND,
+                     DEFAULT_CONVENTIONS)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -72,6 +73,13 @@ def cmd_verify(args):
     if unknown:
         raise ConfigError(f"unknown verify targets: {', '.join(unknown)}")
     _bounds_check(args)
+    given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
+             "n": ("--n", args.n)}
+    for t in targets:
+        for key, lowest in MIN_ORDERS[t].items():
+            flag, value = given[key]
+            if value is not None and value < lowest:
+                raise ConfigError(f"verify {t} needs {flag} >= {lowest}")
     orientation = DEFAULT_CONVENTIONS["tangent_orientation"]
     if args.conventions:
         orientation = load_conventions(args.conventions).get(

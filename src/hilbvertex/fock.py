@@ -278,13 +278,17 @@ def fock_log(f):
     return out
 
 
+def plethystic_exponents(c1, N):
+    """The exponents adams(c1, k) / k, k <= N, of the plethystic exponential."""
+    return {k: c1.adams(k) * Scalar.fraction(1, k) for k in range(1, N + 1)}
+
+
 def pexp(c1, N):
     """Plethystic exponential of c1 * p_1: exp(sum_k adams(c1, k) p_k / k)."""
     if isinstance(c1, (int,)):
         c1 = Scalar.from_int(c1)
-    coeffs = {k: c1.adams(k) * Scalar.fraction(1, k) for k in range(1, N + 1)}
     one = Series.one(*c1.bounds()) if isinstance(c1, Series) else None
-    return exp_linear(coeffs, N, one=one)
+    return exp_linear(plethystic_exponents(c1, N), N, one=one)
 
 
 # ---------------------------------------------------------------------------

@@ -177,23 +177,19 @@ def pcontent(f):
     return g
 
 
-def pmin_exps(f):
-    mins = None
-    for k in f:
-        e = decode(k)
-        if mins is None:
-            mins = list(e)
-        else:
-            for i in range(NVARS):
-                if e[i] < mins[i]:
-                    mins[i] = e[i]
-    return mins
+_SHIFTS = tuple(_FIELD_BITS * i for i in range(NVARS))
+
+
+def pmin_exps(keys):
+    """Per-variable minimum exponents over a nonempty collection of keys."""
+    return [min([(k >> s) & _MASK for k in keys]) - _BIAS for s in _SHIFTS]
 
 
 def pexp_box(f):
     """Per-variable minimum and maximum exponents of a nonzero polynomial."""
-    columns = list(zip(*map(decode, f)))
-    return [min(c) for c in columns], [max(c) for c in columns]
+    fields = [[(k >> s) & _MASK for k in f] for s in _SHIFTS]
+    return ([min(c) - _BIAS for c in fields],
+            [max(c) - _BIAS for c in fields])
 
 
 def _grlex(key):
@@ -201,9 +197,22 @@ def _grlex(key):
     return (sum(e), e)
 
 
+# 2^20 = 1 modulo _MASK = 2^20 - 1, so (k - KEY_ONE + _HALF) % _MASK is the
+# total degree plus _HALF, exactly while the degree lies in [-_HALF, _HALF]
+_HALF = _MASK // 2
+_DEGREE_SHIFT = _HALF - KEY_ONE
+
+
 def plead(f):
-    """Leading key under graded-lex order on doubled exponents."""
-    return max(f, key=_grlex)
+    """Leading key under graded-lex order on doubled exponents.
+
+    The total degree is read off the packed key; `decode` runs only to break
+    ties among the keys of the top degree.
+    """
+    ranks = {k: (k + _DEGREE_SHIFT) % _MASK for k in f}
+    top = max(ranks.values())
+    tied = [k for k, r in ranks.items() if r == top]
+    return tied[0] if len(tied) == 1 else max(tied, key=decode)
 
 
 def padams(f, n):
@@ -312,9 +321,7 @@ def _canonicalize(num, den):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, pone()
-    mins_n = pmin_exps(num)
-    mins_d = pmin_exps(den)
-    mins = tuple(min(a, b) for a, b in zip(mins_n, mins_d))
+    mins = pmin_exps([*num, *den])
     if any(mins):
         shift = KEY_ONE - encode(mins)
         num = {k + shift: c for k, c in num.items()}

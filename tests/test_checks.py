@@ -5,8 +5,8 @@ import pytest
 from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
 from hilbvertex.series import Series
 from hilbvertex.characters import partitions
-from hilbvertex.fock import (JJ0_READINGS, tensor_exp, jj0_substitute,
-                             project_second)
+from hilbvertex.fock import (JJ0_READINGS, FockElement, tensor_exp,
+                             jj0_substitute, project_second)
 from hilbvertex.macdonald import MacdonaldBasis
 from hilbvertex import checks
 from hilbvertex.checks import (check_kernel_identity, check_mellit,
@@ -118,6 +118,43 @@ def test_build_F_equals_tensor_square_route(reading):
     assert build_F(3, 4, reading=reading) == project_second(T)
 
 
+def _scale_fock_z(f, factor):
+    """z -> factor z on every coefficient of the expanded element."""
+    return FockElement({mu: c.scale_z(factor) for mu, c in f.coeffs.items()},
+                       f.N)
+
+
+def _fock_mismatch(a, b):
+    """The witness of a full-expansion comparison."""
+    mu = a.first_difference(b)
+    if mu is None:
+        return None
+    return {"p_monomial": list(mu),
+            "lhs": a.coefficient(mu).render(),
+            "rhs": b.coefficient(mu).render()}
+
+
+def test_exponent_route_matches_full_expansions():
+    # check_main decides on the exponents; the reference compares the
+    # expanded FockElements, for every (reading, shift) pair
+    closed_full = closed_F(3, 4)
+    closed = checks.closed_exponents(3, 4)
+    verdicts = []
+    for reading in JJ0_READINGS:
+        built_full = build_F(3, 4, reading=reading)
+        derived = checks.derived_exponents(3, 4, reading=reading)
+        for shift in checks.SHIFT_FAMILY:
+            factor = checks._shift_scalar(shift)
+            full = _scale_fock_z(closed_full, factor)
+            scaled = {k: c.scale_z(factor) for k, c in closed.items()}
+            same = scaled == derived
+            assert (full == built_full) == same
+            assert (_fock_mismatch(full, built_full)
+                    == checks._exponent_mismatch(scaled, derived))
+            verdicts.append(same)
+    assert verdicts.count(True) == 1
+
+
 def test_check_main_finds_unique_shift():
     rep = check_main(3, 4)
     assert rep.passed
@@ -131,6 +168,21 @@ def test_check_main_finds_unique_shift():
 
 def test_check_ook_small():
     assert check_ook(3, 4).passed
+
+
+def test_check_ook_names_the_first_wrong_exponent(monkeypatch):
+    right = checks.closed_exponents
+
+    def wrong_c3(Ny, Nz):
+        c = right(Ny, Nz)
+        c[3] = c[3] + Series.term(U, 0, 2, 0, Nz)
+        return c
+
+    monkeypatch.setattr(checks, "closed_exponents", wrong_c3)
+    rep = check_ook(4, 4)
+    assert rep.outcome == "mismatch"
+    assert rep.details["p_monomial"] == [3]
+    assert rep.details["lhs"] != rep.details["rhs"]
 
 
 def test_degenerate_slice():
@@ -232,5 +284,8 @@ def test_report_serialization():
 def test_run_check_dispatch():
     rep = run_check("kernel", y_order=1)
     assert rep.passed
+    # order 0 is an order, not a request for the default
+    assert run_check("ook", y_order=1, z_order=0).orders == {"y": 1, "z": 0}
+    assert run_check("rationality", n=0).orders == {"n": 0}
     with pytest.raises(ValueError):
         run_check("nonsense")

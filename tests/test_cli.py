@@ -5,12 +5,18 @@ import sys
 
 import pytest
 
+import hilbvertex
 from hilbvertex.cli import main, EXIT_OK, EXIT_MISMATCH, EXIT_USAGE
+
+# the directory the tests import the package from, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(hilbvertex.__file__))
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("HILBVERTEX_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "hilbvertex.cli"] + args,
@@ -25,6 +31,27 @@ def test_verify_pass_exit_zero():
 def test_verify_bound_error_exit_two():
     assert main(["verify", "main", "--ymax", "9"]) == EXIT_USAGE
     assert main(["verify", "main", "--zmax", "13"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["main", "--ymax", "0"],
+    ["main", "--zmax", "1"],
+    ["main", "--ymax", "1", "--zmax", "1"],
+    ["ook", "main", "--ymax", "0", "--zmax", "0"],
+    ["ook", "--ymax", "0"],
+    ["kernel", "--ymax", "0"],
+    ["rationality", "--n", "0"],
+    ["prop4", "--n", "-1"],
+    ["--ymax", "0"],
+])
+def test_verify_rejects_orders_below_the_lowest(argv):
+    # below checks.MIN_ORDERS a check compares nothing, or several
+    # (reading, shift) pairs satisfy main
+    assert main(["verify", *argv]) == EXIT_USAGE
+
+
+def test_verify_main_at_its_lowest_orders():
+    assert main(["verify", "main", "--ymax", "1", "--zmax", "2"]) == EXIT_OK
 
 
 def test_verify_unknown_target_exit_two():

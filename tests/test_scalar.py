@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
-                               pmin_exps, plead, gaussian_solve, pdivexact,
+                               pmin_exps, pexp_box, plead, gaussian_solve,
+                               pdivexact, _grlex,
                                pmul, pone, pconst, padd, psub, key_mul,
                                bareiss_det, bareiss_solve, solve_poly_system,
                                InconsistentSystemError, ProbeSingularError)
@@ -209,6 +210,25 @@ def test_max_key_is_a_monomial_order(f, g):
     # the largest packed key of a product is the product of the largest keys,
     # which is what lets pdivexact take max() as its leading term
     assert max(pmul(f, g)) == key_mul(max(f), max(g))
+
+
+# keys in all five fields: small exponents, so that many keys share a total
+# degree and plead must break ties, and large ones, whose total degrees
+# (|d| <= 500000 < 2^19) wrap around the modulus 2^20 - 1
+five_field_keys = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * 5),
+    st.tuples(*[st.integers(-100_000, 100_000)] * 5)).map(encode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(five_field_keys, min_size=1, max_size=8))
+def test_packed_key_extrema_match_decoded_definitions(keys):
+    f = dict.fromkeys(keys, 1)
+    columns = list(zip(*map(decode, f)))
+    mins, maxs = [min(c) for c in columns], [max(c) for c in columns]
+    assert pmin_exps(f) == mins
+    assert pexp_box(f) == (mins, maxs)
+    assert plead(f) == max(f, key=_grlex)
 
 
 def laplace_det(matrix):
