@@ -12,7 +12,7 @@ from .characters import (Character, partitions, conjugate, boxes,
 from .fock import (FockElement, TensorFockElement, HeisenbergIndex, heis,
                    exp_linear, pexp, fock_exp, fock_log, tensor_exp,
                    jj0_substitute, project_second)
-from .macdonald import (MacdonaldBasis, macd_H, macd_H_axioms,
+from .macdonald import (MacdonaldBasis, macd_H, macd_H_hhl, macd_H_axioms,
                         macd_H_gram_schmidt, fixed_point_decompose,
                         localization_sum, euler_hilb)
 from .checks import (VerificationReport, CappedVertexTable,

@@ -37,6 +37,8 @@ DEFAULT_Y_ORDER = 4
 DEFAULT_Z_ORDER = 6
 HARD_Y_BOUND = 8
 HARD_Z_BOUND = 12
+# largest degree of a capped vertex table (vertex --n, verify rationality --n)
+VERTEX_N_MAX = 4
 
 # frozen by cmd_calibrate; every entry is re-derivable from the checks below
 DEFAULT_CONVENTIONS = {
@@ -472,8 +474,9 @@ def capped_vertex_table(n, Nz=None, basis=None):
     re-expansion through all computed orders, and the q-independence of the
     shifted-variable form is checked exactly.
     """
-    if n > 4:
-        raise ValueError("vertex tables are configured for n <= 4")
+    if n > VERTEX_N_MAX:
+        raise ValueError(f"vertex tables are configured for "
+                         f"n <= {VERTEX_N_MAX}")
     B = n * (n + 1) // 2
     if Nz is None:
         Nz = 2 * B + 2

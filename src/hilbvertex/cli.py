@@ -23,7 +23,7 @@ from . import checks as checks_mod
 from .checks import (run_check, calibrate, write_conventions,
                      load_conventions, capped_vertex_table, closed_F,
                      osum_exponential, mellit_exponential, CHECK_NAMES,
-                     MIN_ORDERS, HARD_Y_BOUND, HARD_Z_BOUND,
+                     MIN_ORDERS, HARD_Y_BOUND, HARD_Z_BOUND, VERTEX_N_MAX,
                      DEFAULT_CONVENTIONS)
 
 EXIT_OK = 0
@@ -43,12 +43,15 @@ def _env(name, cast=str):
     return cast(raw)
 
 
-def _bounds_check(args):
+def _bounds_check(args, targets=()):
     y, z = args.ymax, args.zmax
     if y is not None and not 0 <= y <= HARD_Y_BOUND:
         raise ConfigError(f"--ymax must lie in [0, {HARD_Y_BOUND}]")
     if z is not None and not 0 <= z <= HARD_Z_BOUND:
         raise ConfigError(f"--zmax must lie in [0, {HARD_Z_BOUND}]")
+    if "rationality" in targets and args.n is not None \
+            and args.n > VERTEX_N_MAX:
+        raise ConfigError(f"verify rationality needs --n <= {VERTEX_N_MAX}")
 
 
 def _emit(text, path):
@@ -72,7 +75,7 @@ def cmd_verify(args):
     unknown = [t for t in targets if t not in CHECK_NAMES]
     if unknown:
         raise ConfigError(f"unknown verify targets: {', '.join(unknown)}")
-    _bounds_check(args)
+    _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
              "n": ("--n", args.n)}
     for t in targets:
@@ -171,8 +174,9 @@ def cmd_series(args):
 
 def cmd_vertex(args):
     n = args.n if args.n is not None else 1
-    if not 0 <= n <= 4:
-        raise ConfigError("--n must lie in [0, 4] for vertex tables")
+    if not 0 <= n <= VERTEX_N_MAX:
+        raise ConfigError(f"--n must lie in [0, {VERTEX_N_MAX}] for vertex "
+                          f"tables")
     # the table needs z-order n(n+1) + 2 at least, so that is always allowed
     zbound = max(HARD_Z_BOUND, n * (n + 1) + 2)
     if args.zmax is not None and args.zmax > zbound:

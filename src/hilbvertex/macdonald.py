@@ -1,19 +1,22 @@
 """Macdonald polynomials in Haiman's normalization, as Fock-space elements.
 
 The fixed-point basis H_lam is the modified Macdonald polynomial with the
-Macdonald parameters specialized to q = t1^(-2), t = t2^(-2).  Two
-independent constructions are provided:
+Macdonald parameters specialized to q = t1^(-2), t = t2^(-2).
 
-  * the axioms route, which builds the basis: it solves the two
-    triangularity axioms plus the normalization as a linear system in the
-    Schur basis; the system entries are small polynomials, which keeps the
-    exact elimination tame at every degree we need;
-  * the classical route: Gram-Schmidt for P_lam against the (q,t)-deformed
-    power-sum inner product in a linear extension of dominance order, then
-    the integral form J_lam, the plethysm X -> X/(1-t), and the t -> 1/t
-    twist with the t^{n(lam)} prefactor.  Without multivariate gcd its
-    intermediate fractions grow too fast beyond degree 4, so it serves as
-    the independent cross-check at small degree rather than as the builder.
+The basis is built by macd_H_hhl from the combinatorial formula of Haglund,
+Haiman and Loehr: a direct sum over fillings of the diagram, with no linear
+algebra.  Two independent constructions serve as cross-checks:
+
+  * the axioms route (macd_H_axioms) solves the two triangularity axioms
+    plus the normalization as a linear system in the Schur basis;
+  * the classical route (macd_H_gram_schmidt): Gram-Schmidt for P_lam
+    against the (q,t)-deformed power-sum inner product in a linear extension
+    of dominance order, then the integral form J_lam, the plethysm
+    X -> X/(1-t), and the t -> 1/t twist with the t^{n(lam)} prefactor.
+    Without multivariate gcd its intermediate fractions grow too fast beyond
+    degree 4, so it serves at small degree only.
+
+MacdonaldBasis.check_orthogonal certifies the basis actually built.
 
 Also here: the calibrated fixed-point Euler factor (the tangent character
 with every weight squared, fed to the Koszul product), decomposition into
@@ -30,16 +33,16 @@ under which the H_lam are orthogonal with the closed-form norms
 w_lam = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1)) (Garsia-Tesler,
 Adv. Math. 1996; Haiman, "Combinatorics, symmetric functions and Hilbert
 schemes", 2003).  So the H_lam coefficient of f is <f, H_lam>_* / w_lam and
-no linear algebra is needed.  MacdonaldBasis.check_orthogonal certifies the
-orthogonality for the basis actually built.
+no linear algebra is needed.
 """
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
-from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, padd,
-                     pmul, pmul_int, decode, encode, VARIABLES, bareiss_solve)
+from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
+                     pmul, pmul_int, decode, encode, key_var, VARIABLES,
+                     bareiss_solve)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
 from .fock import FockElement
@@ -220,7 +223,135 @@ def s_in_p(lam, _cache={}):
 
 
 # ---------------------------------------------------------------------------
-# the two construction routes
+# the basis: the combinatorial formula of Haglund, Haiman and Loehr
+# ---------------------------------------------------------------------------
+
+def _row_words(rem, length):
+    """Distinct words of the given length over the multiset rem.
+
+    rem[v] is the multiplicity of the letter v.  Yields (word, rem minus the
+    letters of word).
+    """
+    if not length:
+        yield (), rem
+        return
+    for v, c in enumerate(rem):
+        if c:
+            left = rem[:v] + (c - 1,) + rem[v + 1:]
+            for w, rest in _row_words(left, length - 1):
+                yield (v,) + w, rest
+
+
+def _hhl_fillings(mu):
+    """{lam: {(inv, maj): count}} over the fillings of mu with content lam.
+
+    One entry for every lam |- |mu|: the m_lam coefficient of H~_mu is the
+    sum of count q^inv t^maj.  French diagram, row 0 at the bottom; the
+    reading order is rows top to bottom, left to right.  Two cells attack
+    when they share a row, or lie in adjacent rows with the upper cell
+    strictly to the right.  A descent is a cell larger than the cell
+    directly below it; maj sums leg + 1 over descents, and inv is the number
+    of attacking pairs out of reading order minus the arms of the descents.
+
+    Rows are filled in reading order.  What a row adds to inv and maj
+    depends only on its word and the word of the row above, so the fillings
+    below each (row, word above, letters left) are summed once, with the
+    letters relabelled to those still in play.  A polynomial sum c q^i t^j
+    is held as one integer with c in the bit field i * width + j, so that a
+    factor q^i t^j is a shift.  That needs every step's exponent to be
+    nonnegative: counted with the inversions inside the row above, it is,
+    because for a descent u over v and each cell w in the arm of u, (u, w)
+    or (w, v) is an inversion.
+    """
+    n = sum(mu)
+    arms = [[arm(mu, r, c) for c in range(mu[r])] for r in range(len(mu))]
+    majs = [[leg(mu, r, c) + 1 for c in range(mu[r])] for r in range(len(mu))]
+    width = 1 + sum(sum(row) for row in majs[1:])
+    bits = factorial(n).bit_length()  # no count exceeds n!
+    memo = {}
+
+    def below(r, upper, rem):
+        # fillings of rows r, ..., 0 from rem, under the row r + 1 = upper
+        present = [v for v, c in enumerate(rem) if c or v in upper]
+        relabel = {v: i for i, v in enumerate(present)}
+        upper = tuple(relabel[v] for v in upper)
+        rem = tuple(rem[v] for v in present)
+        key = (r, upper, rem)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        up = len(upper)
+        base = sum(a > b for i, a in enumerate(upper) for b in upper[i + 1:])
+        if r < 0:
+            total = 1 << (bits * base * width)
+        else:
+            total = 0
+            for w, rest in _row_words(rem, mu[r]):
+                inv, maj = base, 0
+                for i in range(up):
+                    inv += sum(b > w[i] for b in upper[i + 1:])
+                    if upper[i] > w[i]:
+                        inv -= arms[r + 1][i]
+                        maj += majs[r + 1][i]
+                total += below(r - 1, w, rest) << (bits * (inv * width + maj))
+        memo[key] = total
+        return total
+
+    mask = (1 << bits) - 1
+    out = {}
+    for lam in partitions(n):
+        x, pos, poly = below(len(mu) - 1, (), lam), 0, {}
+        while x:
+            if x & mask:
+                poly[divmod(pos, width)] = x & mask
+            x >>= bits
+            pos += 1
+        out[lam] = poly
+    return out
+
+
+def macd_H_hhl(n):
+    """Modified Macdonald H_lam for all |lam| = n; this builds the basis.
+
+    H~_mu = sum over fillings sigma of mu of q^inv(sigma) t^maj(sigma)
+    x^sigma (Haglund, Haiman and Loehr, "A combinatorial formula for
+    Macdonald polynomials", J. Amer. Math. Soc. 18, 2005), read off in the
+    monomial basis by _hhl_fillings and mapped to the p-basis with m_to_p,
+    over one common integer denominator.  H~_mu' is H~_mu with q and t
+    exchanged, so only the shapes with at least as many rows as columns are
+    summed: their short rows are the ones the row-by-row sum merges best.
+    """
+    parts = partitions(n)
+    m2p = m_to_p(n)
+    den = lcm(*(v.denominator for row in m2p.values() for v in row.values()))
+    m2p = {lam: {rho: int(v * den) for rho, v in row.items()}
+           for lam, row in m2p.items()}
+    # q = t1^(-2) and t = t2^(-2): q^i t^j is the key KEY_ONE + i dq + j dt
+    dq, dt = key_var("t1", -4) - KEY_ONE, key_var("t2", -4) - KEY_ONE
+    summed = {mu: _hhl_fillings(mu) for mu in parts
+              if len(mu) >= len(conjugate(mu))}
+    out = {}
+    for mu in parts:
+        # H~_mu(q, t) = H~_mu'(t, q)
+        src, (di, dj) = ((mu, (dq, dt)) if mu in summed
+                         else (conjugate(mu), (dt, dq)))
+        acc = {}
+        for lam, poly in summed[src].items():
+            poly = {KEY_ONE + i * di + j * dj: c for (i, j), c in poly.items()}
+            for rho, f in m2p[lam].items():
+                a = acc.setdefault(rho, {})
+                for k, c in poly.items():
+                    a[k] = a.get(k, 0) + c * f
+        out[mu] = {}
+        for rho in parts:
+            num = {k: c for k, c in acc.get(rho, {}).items() if c}
+            if num:
+                out[mu][rho] = Scalar(num, pconst(den))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the cross-check routes
 # ---------------------------------------------------------------------------
 
 def _qt_pair_weight(mu):
@@ -310,7 +441,8 @@ def integral_form_factor(lam):
 def macd_H_gram_schmidt(n):
     """Modified Macdonald H_lam for all |lam| = n, via the classical route.
 
-    The cross-check of macd_H_axioms, which builds the basis.
+    An independent cross-check of macd_H_hhl, which builds the basis, and of
+    macd_H_axioms; practical up to degree 4.
     """
     P = macd_P(n)
     out = {}
@@ -329,11 +461,13 @@ def macd_H_gram_schmidt(n):
 
 
 def macd_H_axioms(n):
-    """Oracle route: solve the triangularity axioms in the Schur basis.
+    """Cross-check route: solve the triangularity axioms in the Schur basis.
 
     H_lam is determined by requiring that p_k -> (1-q^k) p_k maps it into the
     span of s_mu with mu >= lam (dominance), p_k -> (1-t^k) p_k into the span
-    of s_mu with mu >= lam', and that the s_(n) coefficient is 1.
+    of s_mu with mu >= lam', and that the s_(n) coefficient is 1.  An
+    independent check of macd_H_hhl, which builds the basis; the exact solve
+    makes it slow beyond degree 5.
     """
     parts = partitions(n)
     s_p = {nu: _to_scalar_dict(s_in_p(nu)) for nu in parts}
@@ -444,7 +578,7 @@ class MacdonaldBasis:
                              f"{self.max_degree}")
         if n in self._H:
             return
-        self._H[n] = macd_H_axioms(n)
+        self._H[n] = macd_H_hhl(n)
 
     def H(self, lam):
         """H_lam as a FockElement with Scalar coefficients."""

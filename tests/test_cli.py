@@ -50,6 +50,15 @@ def test_verify_rejects_orders_below_the_lowest(argv):
     assert main(["verify", *argv]) == EXIT_USAGE
 
 
+def test_verify_rationality_above_the_table_cap_builds_nothing(monkeypatch):
+    built = []
+    monkeypatch.setattr(hilbvertex.checks, "capped_vertex_table",
+                        lambda n, *a, **k: built.append(n))
+    n = hilbvertex.checks.VERTEX_N_MAX + 1
+    assert main(["verify", "rationality", "--n", str(n)]) == EXIT_USAGE
+    assert built == []
+
+
 def test_verify_main_at_its_lowest_orders():
     assert main(["verify", "main", "--ymax", "1", "--zmax", "2"]) == EXIT_OK
 

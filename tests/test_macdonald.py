@@ -6,7 +6,8 @@ from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, decode, encode,
                                InconsistentSystemError)
 from hilbvertex.characters import partitions, conjugate
 from hilbvertex.macdonald import (MacdonaldBasis, macd_H, macd_H_axioms,
-                                  macd_H_gram_schmidt, fixed_point_decompose,
+                                  macd_H_gram_schmidt, macd_H_hhl,
+                                  fixed_point_decompose,
                                   localization_sum, euler_hilb, default_basis,
                                   norm, Q_MACD, T_MACD)
 from hilbvertex.fock import FockElement, exp_linear
@@ -97,6 +98,39 @@ def test_two_routes_agree():
         for lam in partitions(n):
             for mu in partitions(n):
                 assert ax[lam].get(mu, ZERO) == gs[lam].get(mu, ZERO)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_hhl_is_the_axioms_basis_term_for_term(n):
+    # identical canonical num/den dicts, not only equal values: the reports
+    # and witnesses render them
+    hhl, ax = macd_H_hhl(n), macd_H_axioms(n)
+    assert list(hhl) == list(ax) == partitions(n)
+    for lam in ax:
+        assert list(hhl[lam]) == list(ax[lam])
+        for rho, v in ax[lam].items():
+            assert (hhl[lam][rho].num, hhl[lam][rho].den) == (v.num, v.den)
+
+
+def test_hhl_matches_gram_schmidt():
+    for n in (1, 2, 3, 4):
+        hhl, gs = macd_H_hhl(n), macd_H_gram_schmidt(n)
+        for lam in partitions(n):
+            for mu in partitions(n):
+                assert hhl[lam].get(mu, ZERO) == gs[lam].get(mu, ZERO)
+
+
+def test_degree_six_basis_is_certified():
+    # beyond the reach of the axioms route: certify it by *-orthogonality
+    # and the normalization.  The s_(6) coefficient of H_lam is the Hall
+    # pairing with s_(6) = sum_rho p_rho / z_rho, the sum of its p-coefficients.
+    basis = MacdonaldBasis()
+    basis.check_orthogonal(6)
+    for lam in partitions(6):
+        total = ZERO
+        for v in basis.H(lam).coeffs.values():
+            total = total + v
+        assert total == ONE
 
 
 def kernel_exp(N):

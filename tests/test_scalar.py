@@ -56,18 +56,6 @@ def test_division_by_zero_reported():
         ZERO.inverse()
 
 
-def test_field_axioms_on_random_triples():
-    for _ in range(40):
-        x, y, z = rand_scalar(), rand_scalar(), rand_scalar()
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + y == y + x
-    for _ in range(20):
-        x = rand_nonzero()
-        assert x * x.inverse() == ONE
-
-
 def test_canonical_form_invariants():
     for _ in range(30):
         x = rand_nonzero() / rand_nonzero()
@@ -154,6 +142,50 @@ laurent = st.dictionaries(
     st.tuples(*[st.integers(-4, 4)] * 3).map(
         lambda e: encode((e[0], e[1], 0, e[2], 0))),
     st.integers(-3, 3).filter(bool), max_size=4)
+
+
+# quotients of such polynomials, half-integer exponents included
+scalars = st.builds(Scalar, laurent,
+                    st.one_of(st.just(pone()), laurent.filter(bool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, scalars, scalars)
+def test_field_axioms_on_random_triples(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert x + ZERO == x and x - x == ZERO and -(-x) == x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * ONE == x
+    assert x * (y + z) == x * y + x * z
+    if not x.is_zero():
+        assert x * x.inverse() == ONE
+        assert (y / x) * x == y
+
+
+def _to_sympy(poly, roots):
+    import sympy
+    return sympy.Add(*[c * sympy.Mul(*[r ** e for r, e in zip(roots,
+                                                                decode(k))])
+                       for k, c in poly.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent, laurent.filter(bool), laurent.filter(bool))
+def test_reduced_agrees_with_sympy_cancel(f, g, h):
+    # (f g) / (g h) is a Laurent polynomial over an integer at least when h
+    # is a monomial times an integer
+    sympy = pytest.importorskip("sympy")
+    roots = sympy.symbols("r_t1 r_t2 r_q r_u r_a")  # square roots
+    x = Scalar(pmul(f, g), pmul(g, h))
+    r = x.reduced()
+    value = _to_sympy(x.num, roots) / _to_sympy(x.den, roots)
+    assert sympy.cancel(_to_sympy(r.num, roots) / _to_sympy(r.den, roots)
+                        - value) == 0
+    _, den = sympy.fraction(sympy.cancel(value))
+    if len(sympy.Add.make_args(sympy.expand(den))) == 1:
+        assert len(r.den) == 1
 
 
 @settings(max_examples=60, deadline=None)
