@@ -49,8 +49,10 @@ def _bounds_check(args, targets=()):
         raise ConfigError(f"--ymax must lie in [0, {HARD_Y_BOUND}]")
     if z is not None and not 0 <= z <= HARD_Z_BOUND:
         raise ConfigError(f"--zmax must lie in [0, {HARD_Z_BOUND}]")
-    if "rationality" in targets and args.n is not None \
-            and args.n > VERTEX_N_MAX:
+    n = args.n if targets else None  # series calls this with no --n
+    if n is not None and n > HARD_Y_BOUND:
+        raise ConfigError(f"--n must be at most {HARD_Y_BOUND}")
+    if "rationality" in targets and n is not None and n > VERTEX_N_MAX:
         raise ConfigError(f"verify rationality needs --n <= {VERTEX_N_MAX}")
 
 

@@ -42,7 +42,7 @@ from math import factorial, gcd, lcm
 
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
                      pmul, pmul_int, decode, encode, key_var, VARIABLES,
-                     bareiss_solve)
+                     bareiss_solve, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
 from .fock import FockElement
@@ -466,7 +466,8 @@ def macd_H_axioms(n):
     H_lam is determined by requiring that p_k -> (1-q^k) p_k maps it into the
     span of s_mu with mu >= lam (dominance), p_k -> (1-t^k) p_k into the span
     of s_mu with mu >= lam', and that the s_(n) coefficient is 1.  An
-    independent check of macd_H_hhl, which builds the basis; the exact solve
+    independent check of macd_H_hhl, which builds the basis.  The exact
+    solve eliminates the whole overdetermined system fraction-free, which
     makes it slow beyond degree 5.
     """
     parts = partitions(n)
@@ -497,7 +498,6 @@ def macd_H_axioms(n):
     Aq = twisted_matrix(Q_MACD)
     At = twisted_matrix(T_MACD)
 
-    from .scalar import solve_poly_system
     out = {}
     for lam in parts:
         lam_c = conjugate(lam)
@@ -515,7 +515,7 @@ def macd_H_axioms(n):
         rows.append([pone() if nu == norm_key else pzero() for nu in parts])
         rhs.append(pone())
         # the Schur coefficients are polynomial, so exact division clears
-        # the determinant denominators from the Cramer solve
+        # the determinant denominator of the solve
         sol = [x.reduced() for x in solve_poly_system(rows, rhs)]
         f = {}
         for nu, x in zip(parts, sol):
@@ -547,6 +547,19 @@ def star_weight(rho):
     for k in rho:
         w = w * (ONE - Q_MACD ** k) * (ONE - T_MACD ** k)
     return w
+
+
+def _star_pairing(f, g, weights):
+    """<f, g>_* of two p-coefficient dicts, weights[rho] = star_weight(rho).
+
+    Each term is reduced on its own; see MacdonaldBasis.pairings.
+    """
+    total = ZERO
+    for rho, h in g.items():
+        c = f.get(rho)
+        if c is not None:
+            total = (c * (h * weights[rho])).reduced() + total
+    return total
 
 
 def norm(lam):
@@ -596,16 +609,9 @@ class MacdonaldBasis:
         polynomials over an integer.
         """
         self.build_degree(n)
-        weights = {mu: star_weight(mu) for mu in partitions(n)}
-        out = {}
-        for lam in partitions(n):
-            total = ZERO
-            for rho, h in self._H[n][lam].items():
-                c = f.coeffs.get(rho)
-                if c is not None:
-                    total = (c * (h * weights[rho])).reduced() + total
-            out[lam] = total
-        return out
+        weights = {rho: star_weight(rho) for rho in partitions(n)}
+        return {lam: _star_pairing(f.coeffs, self._H[n][lam], weights)
+                for lam in partitions(n)}
 
     def decompose(self, f, n):
         """Coefficients c_lam with (degree-n slice of f) = sum c_lam H_lam.
@@ -624,8 +630,15 @@ class MacdonaldBasis:
         """
         if n in self._orthogonal:
             return
-        for mu in partitions(n):
-            for lam, p in self.pairings(self.H(mu), n).items():
+        self.build_degree(n)
+        parts = partitions(n)
+        weights = {rho: star_weight(rho) for rho in parts}
+        # the *-form is diagonal in the p-basis, hence symmetric: one
+        # pairing per unordered pair certifies both orders
+        H = self._H[n]
+        for i, mu in enumerate(parts):
+            for lam in parts[i:]:
+                p = _star_pairing(H[mu], H[lam], weights)
                 if p != (norm(lam) if lam == mu else ZERO):
                     raise ArithmeticError(f"<H_{lam}, H_{mu}>_* is not "
                                           f"{'w_lam' if lam == mu else 0}")

@@ -48,16 +48,6 @@ class InconsistentSystemError(ArithmeticError):
     """Raised when a linear system has no solution."""
 
 
-class ProbeSingularError(InconsistentSystemError):
-    """Raised by solve_poly_system when every probe point makes it singular.
-
-    The system may still be consistent: its solution is not unique, or the
-    probe points all lie on the vanishing locus of its determinants.  No
-    caller retries with another solver; it is a subclass only so that code
-    catching InconsistentSystemError sees every failed solve.
-    """
-
-
 def encode(exps):
     """Pack a tuple of doubled exponents into a single integer key."""
     key = 0
@@ -597,201 +587,124 @@ HBAR_SQRT = Scalar.monomial(t1=1, t2=1)
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Scalar
+# exact linear algebra: one fraction-free elimination over polynomial entries
 # ---------------------------------------------------------------------------
 
-def gaussian_solve(rows, rhs):
-    """Solve A x = b exactly over Scalar by Gaussian elimination.
+def _bareiss(m, n):
+    """Fraction-free echelon form, in place, on the first n columns of m.
 
-    Returns one solution with free variables set to zero.  Raises
-    InconsistentSystemError when no solution exists.  `rows` is a list of
-    lists of Scalars, `rhs` a list of Scalars.
+    `m` is a list of rows of polynomial dicts; later columns (right-hand
+    sides) are carried along.  In each column the pivot is the first
+    remaining row with a nonzero entry; a column with none is skipped.  On
+    the pivot columns and any one later column this is Bareiss's recurrence
+    (Math. Comp. 22, 1968), so every entry is a minor of the row-permuted
+    input and every division is exact.  Returns (pivots, sign): the pivot
+    column of each of the first rank rows, and the sign of the row
+    permutation.  Rows past the rank are zero in the first n columns.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if not a[r][col].is_zero():
-                piv = r
-                break
+    sign, prev, pivots = 1, pone(), []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [x * inv for x in a[row]]
-        for r in range(m):
-            if r != row and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not a[r][n].is_zero():
-            raise InconsistentSystemError("linear system has no solution")
-    x = [ZERO] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n]
-    return x
-
-
-def _bareiss(m, n):
-    """Fraction-free forward elimination, in place, on the first n columns.
-
-    `m` holds n rows of polynomial dicts; columns past the n-th (a right-hand
-    side) are carried along.  Afterwards the first n columns are upper
-    triangular and every division of the Bareiss recurrence was exact, so
-    the last pivot m[n-1][n-1] is the determinant of the row-permuted
-    matrix.  Returns the sign of that permutation, or 0 when the first n
-    columns are singular.
-    """
-    width = len(m[0])
-    sign = 1
-    prev = pone()
-    for r in range(n - 1):
-        if not m[r][r]:
-            piv = next((i for i in range(r + 1, n) if m[i][r]), None)
-            if piv is None:
-                return 0
+        if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, width):
-                num = psub(pmul(m[r][r], m[i][j]), pmul(m[i][r], m[r][j]))
-                q = pdivexact(num, prev)
+        p = m[r][c]
+        for i in range(r + 1, len(m)):
+            for j in range(c + 1, len(m[i])):
+                q = pdivexact(psub(pmul(p, m[i][j]), pmul(m[i][c], m[r][j])),
+                              prev)
                 if q is None:
                     raise ArithmeticError("Bareiss division was not exact")
                 m[i][j] = q
-            m[i][r] = {}
-        prev = m[r][r]
-    return sign if m[n - 1][n - 1] else 0
+            m[i][c] = {}
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _back_substitute(m, pivots, col):
+    """Solve the pivot rows of an echelon form against column `col`.
+
+    Returns (D, [N_r]) with D the last pivot and N_r / D the unknown of
+    pivot column pivots[r].  Restricted to the pivot rows and columns the
+    echelon form is Bareiss's triangle of a square system, so D is its
+    determinant, N_r its Cramer numerator, and N_r = (D b'_r - sum_{s>r}
+    a'_{r,c_s} N_s) / a'_{r,c_r} divides exactly.
+    """
+    k = len(pivots)
+    if not k:
+        return pone(), []
+    D = m[k - 1][pivots[-1]]
+    nums = [None] * k
+    nums[-1] = m[k - 1][col]  # D b' / a', and a' = D
+    for i in range(k - 2, -1, -1):
+        acc = pmul(D, m[i][col])
+        for j in range(i + 1, k):
+            acc = psub(acc, pmul(m[i][pivots[j]], nums[j]))
+        x = pdivexact(acc, m[i][pivots[i]])
+        if x is None:
+            raise ArithmeticError("back-substitution division was not exact")
+        nums[i] = x
+    return D, nums
 
 
 def bareiss_det(matrix):
     """Fraction-free determinant of a square matrix of polynomial dicts."""
-    n = len(matrix)
-    if n == 0:
-        return pone()
-    m = [list(r) for r in matrix]
-    sign = _bareiss(m, n)
-    det = m[n - 1][n - 1] if sign else {}
-    return pneg(det) if sign < 0 else det
+    try:
+        return bareiss_solve(matrix, [{}] * len(matrix))[0]
+    except ZeroDivisionError:
+        return {}
 
 
 def bareiss_solve(matrix, rhs):
     """Fraction-free solve of a square system A x = b of polynomial dicts.
 
     Returns (D, [N_j]) with D = det(A) and x_j = N_j / D, so N_j is the
-    Cramer numerator det(A with column j replaced by b).  Bareiss forward
-    elimination runs on [A | b]; back-substitution then computes
-    N_i = (D b'_i - sum_{j>i} a'_ij N_j) / a'_ii, where every division is
-    exact because N_i is a polynomial.  Raises ZeroDivisionError when A is
-    singular.
+    Cramer numerator det(A with column j replaced by b).  Raises
+    ZeroDivisionError when A is singular.
     """
     n = len(matrix)
-    if n == 0:
-        return pone(), []
     m = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    sign = _bareiss(m, n)
-    if not sign:
+    pivots, sign = _bareiss(m, n)
+    if len(pivots) < n:
         raise ZeroDivisionError("singular matrix")
-    D = m[n - 1][n - 1]
-    nums = [None] * n
-    nums[n - 1] = m[n - 1][n]  # D b' / a'_{n-1,n-1}, and a'_{n-1,n-1} = D
-    for i in range(n - 2, -1, -1):
-        acc = pmul(D, m[i][n])
-        for j in range(i + 1, n):
-            acc = psub(acc, pmul(m[i][j], nums[j]))
-        x = pdivexact(acc, m[i][i])
-        if x is None:
-            raise ArithmeticError("back-substitution division was not exact")
-        nums[i] = x
+    D, nums = _back_substitute(m, pivots, n)
     if sign < 0:
         return pneg(D), [pneg(x) for x in nums]
     return D, nums
 
 
-def eval_poly(poly, point):
-    """Evaluate a polynomial dict at rational square-root values per variable.
-
-    `point` maps every variable name to the Fraction value of its square
-    root (doubled exponents act directly on these values).
-    """
-    vals = [Fraction(point[name]) for name in VARIABLES]
-    total = Fraction(0)
-    for k, c in poly.items():
-        term = Fraction(c)
-        for v, e in zip(vals, decode(k)):
-            if e:
-                term *= v ** e
-        total += term
-    return total
-
-
-_PROBE_POINTS = (
-    {"t1": Fraction(3, 2), "t2": Fraction(5, 7), "q": Fraction(2, 11),
-     "u": Fraction(7, 3), "a": Fraction(9, 5)},
-    {"t1": Fraction(2, 5), "t2": Fraction(7, 2), "q": Fraction(3, 13),
-     "u": Fraction(5, 11), "a": Fraction(4, 7)},
-    {"t1": Fraction(11, 6), "t2": Fraction(3, 10), "q": Fraction(8, 3),
-     "u": Fraction(2, 7), "a": Fraction(5, 13)},
-)
-
-
 def solve_poly_system(rows, rhs):
-    """Exactly solve a consistent polynomial-entry linear system.
+    """Exactly solve a consistent linear system with polynomial entries.
 
     `rows` is a list of lists of polynomial dicts, `rhs` a list of
-    polynomial dicts; the system must have a unique solution.  A rational
-    specialization picks a square invertible subsystem, bareiss_solve gives
-    its solution as numerators N_j over one determinant D, and every
-    equation, the picked ones included, is verified as the polynomial
+    polynomial dicts; any number of rows, of any rank.  The fraction-free
+    echelon form of [A | b] over all rows chooses the pivot rows exactly;
+    a row past the rank with a nonzero right-hand side raises
+    InconsistentSystemError.  Otherwise the unknowns of non-pivot columns
+    are set to zero, the pivot unknowns are numerators N_j over one
+    determinant D, and every equation is verified as the polynomial
     identity sum_j row_j N_j == rhs D.  Returns a list of Scalars N_j / D.
-    Raises ProbeSingularError when no probe point gives an invertible
-    subsystem, and InconsistentSystemError when verification fails.
     """
-    m, n = len(rows), len(rows[0])
-    chosen = None
-    for point in _PROBE_POINTS:
-        spec = [[eval_poly(e, point) for e in row] for row in rows]
-        picked, used = [], []
-        work = [list(r) for r in spec]
-        for col in range(n):
-            piv = None
-            for r in range(m):
-                if r not in used and work[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            used.append(piv)
-            picked.append(piv)
-            fac = work[piv][col]
-            for r in range(m):
-                if r != piv and r not in used and work[r][col] != 0:
-                    f = work[r][col] / fac
-                    work[r] = [x - f * y for x, y in zip(work[r], work[piv])]
-        if len(picked) == n:
-            chosen = picked
-            break
-    if chosen is None:
-        raise ProbeSingularError(
-            f"{m} x {n} system is singular at every probe point")
-    D, nums = bareiss_solve([rows[r] for r in chosen],
-                            [rhs[r] for r in chosen])
+    n = len(rows[0])
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, _ = _bareiss(m, n)
+    if any(row[n] for row in m[len(pivots):]):
+        raise InconsistentSystemError("polynomial system is inconsistent")
+    D, nums = _back_substitute(m, pivots, n)
+    by_col = dict(zip(pivots, nums))
+    x = [by_col.get(c, {}) for c in range(n)]
     for row, b in zip(rows, rhs):
         acc = {}
-        for e, x in zip(row, nums):
-            if e and x:
-                acc = padd(acc, pmul(e, x))
+        for e, v in zip(row, x):
+            if e and v:
+                acc = padd(acc, pmul(e, v))
         if acc != pmul(b, D):
             raise InconsistentSystemError("polynomial system is inconsistent")
-    return [Scalar(x, dict(D)) for x in nums]
+    return [Scalar(v, dict(D)) for v in x]
 
 
 def invert_matrix(rows):

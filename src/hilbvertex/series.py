@@ -8,7 +8,8 @@ taking the minimum in each grading.
 
 import math
 
-from .scalar import Scalar, ZERO, ONE, InconsistentSystemError, gaussian_solve
+from .scalar import (Scalar, ZERO, ONE, InconsistentSystemError, pone, padd,
+                     pmul, pdivexact, solve_poly_system)
 
 
 class ReconstructionError(ArithmeticError):
@@ -254,7 +255,6 @@ def _over_common_denominator(scalars):
     what makes exact reconstruction cheap; the shared denominator is the
     product of the structurally distinct denominators.
     """
-    from .scalar import pone, pmul, pdivexact
     distinct = []
     for c in scalars:
         if not any(c.den == d for d in distinct):
@@ -271,7 +271,6 @@ def _over_common_denominator(scalars):
 
 def _convolve(den_polys, num_polys, upto):
     """z-coefficients of den(z) * series, in shared-numerator form."""
-    from .scalar import padd, pmul
     out = [{} for _ in range(upto + 1)]
     for d, p in den_polys.items():
         if not p:
@@ -291,7 +290,6 @@ def rational_reconstruct(s, dn, dd, candidate_dens=None):
     optional list of denominator polynomials to try before the generic
     linear solve.  Raises ReconstructionError when nothing fits.
     """
-    from .scalar import pmul, solve_poly_system
     coeffs = _z_coefficients(s)
     if len(coeffs) < dn + dd + 2:
         raise ValueError(
@@ -322,7 +320,9 @@ def rational_reconstruct(s, dn, dd, candidate_dens=None):
             return got
 
     # generic path: b_0 = 1 and sum_i b_i s_{j-i} = 0 for j = dn+1..dn+dd;
-    # over the shared denominator this is a polynomial linear system
+    # over the shared denominator this is a polynomial linear system, which
+    # is singular yet consistent when the degree budgets exceed the true
+    # degrees; its free unknowns are then zero
     if dd:
         rows = [[s_nums[j - i] if j - i >= 0 else {}
                  for i in range(1, dd + 1)]
@@ -332,17 +332,8 @@ def rational_reconstruct(s, dn, dd, candidate_dens=None):
         try:
             sol = solve_poly_system(rows, rhs)
         except InconsistentSystemError:
-            # the Hankel system may be singular yet consistent (degree
-            # budgets above the true degrees); retry with free variables
-            # pinned to zero before giving up
-            srows = [[Scalar(dict(e)) if e else ZERO for e in row]
-                     for row in rows]
-            srhs = [Scalar(dict(e)) if e else ZERO for e in rhs]
-            try:
-                sol = gaussian_solve(srows, srhs)
-            except InconsistentSystemError:
-                raise ReconstructionError(
-                    f"no rational function of degrees ({dn},{dd}) fits")
+            raise ReconstructionError(
+                f"no rational function of degrees ({dn},{dd}) fits")
     else:
         sol = []
     den = {0: ONE}

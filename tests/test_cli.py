@@ -59,6 +59,11 @@ def test_verify_rationality_above_the_table_cap_builds_nothing(monkeypatch):
     assert built == []
 
 
+def test_verify_n_above_the_y_bound_exit_two():
+    n = hilbvertex.checks.HARD_Y_BOUND + 1
+    assert main(["verify", "prop4", "--n", str(n)]) == EXIT_USAGE
+
+
 def test_verify_main_at_its_lowest_orders():
     assert main(["verify", "main", "--ymax", "1", "--zmax", "2"]) == EXIT_OK
 

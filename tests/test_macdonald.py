@@ -65,7 +65,8 @@ def test_corrupted_basis_fails_certification():
     basis = MacdonaldBasis()
     basis.build_degree(2)
     basis._H[2][(1, 1)] = basis._H[2][(2,)]
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError,
+                       match=r"<H_\(1, 1\), H_\(2,\)>_\* is not 0"):
         basis.check_orthogonal(2)
     # the identity check certifies the basis first, so it cannot pass
     with pytest.raises(ArithmeticError):

@@ -92,6 +92,14 @@ def test_reconstruct_theorem_k1_term():
     assert den[0] == ONE and den[1] == -w
 
 
+def test_reconstruct_singular_hankel_system():
+    # 1/(1 - z) with degree budgets (1, 2): the Hankel system is singular
+    # yet consistent, and its free unknown is zero
+    num, den = rational_reconstruct(Series.z(0, 5).geom(), 1, 2)
+    assert num == {0: ONE}
+    assert den == {0: ONE, 1: -ONE}
+
+
 def test_reconstruct_inconsistent():
     bad = Series({(0, 0): ONE, (0, 1): ONE, (0, 3): ONE}, 0, 3)
     with pytest.raises(ReconstructionError):
