@@ -29,13 +29,14 @@ from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import MacdonaldBasis, default_basis, euler_hilb, norm
+from .macdonald import (MacdonaldBasis, MAX_DEGREE, default_basis,
+                        euler_hilb, norm)
 
 _Q_INDEX = VARIABLES.index("q")
 
 DEFAULT_Y_ORDER = 4
 DEFAULT_Z_ORDER = 6
-HARD_Y_BOUND = 8
+HARD_Y_BOUND = MAX_DEGREE
 HARD_Z_BOUND = 12
 # largest degree of a capped vertex table (vertex --n, verify rationality --n)
 VERTEX_N_MAX = 4
@@ -146,13 +147,13 @@ def osum_eigenvalue(lam):
 def _compare_by_degree(basis, eig, rhs, N):
     """Check sum_lam eig(lam) H_lam / Euler(lam) == rhs in each degree n <= N.
 
-    On a *-orthogonal basis the identity holds in degree n exactly when, at
-    every fixed point lam, the H_lam coefficients agree:
-    <rhs, H_lam>_* / w_lam == eig(lam) / Euler(lam).  It is tested as the
-    cross-product, so no common denominator is ever formed.
+    The identity holds in degree n exactly when, at every fixed point lam,
+    the H_lam coefficients agree: <rhs, H_lam>_* / w_lam == eig(lam) /
+    Euler(lam).  basis.pairings certifies the basis it reads them from.  The
+    equality is tested as the cross-product, so no common denominator is
+    ever formed.
     """
     for n in range(N + 1):
-        basis.check_orthogonal(n)
         for lam, p in basis.pairings(rhs, n).items():
             euler = euler_hilb(lam, basis.orientation)
             if p * euler != eig(lam) * norm(lam):

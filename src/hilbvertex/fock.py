@@ -18,6 +18,7 @@ from math import comb, factorial
 
 from .scalar import Scalar, ZERO, ONE, HBAR
 from .series import Series
+from .characters import partitions
 
 
 def heis_denominator(k):
@@ -230,16 +231,10 @@ def exp_linear(c, N, one=None):
     return FockElement(out, N)
 
 
-_PARTS_CACHE = {}
-
-
-def _partitions_cached(n):
-    got = _PARTS_CACHE.get(n)
-    if got is None:
-        from .characters import partitions
-        got = partitions(n)
-        _PARTS_CACHE[n] = got
-    return got
+def _partitions_cached(n, _cache={}):
+    if n not in _cache:
+        _cache[n] = partitions(n)
+    return _cache[n]
 
 
 def fock_exp(f):

@@ -16,7 +16,7 @@ algebra.  Two independent constructions serve as cross-checks:
     Without multivariate gcd its intermediate fractions grow too fast beyond
     degree 4, so it serves at small degree only.
 
-MacdonaldBasis.check_orthogonal certifies the basis actually built.
+MacdonaldBasis.certify checks the basis actually built against these axioms.
 
 Also here: the calibrated fixed-point Euler factor (the tangent character
 with every weight squared, fed to the Koszul product), decomposition into
@@ -32,8 +32,8 @@ Decomposition uses the Garsia-Haiman *-scalar product
 under which the H_lam are orthogonal with the closed-form norms
 w_lam = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1)) (Garsia-Tesler,
 Adv. Math. 1996; Haiman, "Combinatorics, symmetric functions and Hilbert
-schemes", 2003).  So the H_lam coefficient of f is <f, H_lam>_* / w_lam and
-no linear algebra is needed.
+schemes", 2003), a theorem about the basis the axioms determine.  So the
+H_lam coefficient of f is <f, H_lam>_* / w_lam and no linear algebra is needed.
 """
 
 from fractions import Fraction
@@ -50,6 +50,12 @@ from .fock import FockElement
 # Macdonald parameters on the engine lattice: q = t1^(-2), t = t2^(-2)
 Q_MACD = Scalar.monomial(t1=-4)
 T_MACD = Scalar.monomial(t2=-4)
+# the same on keys: q^i t^j is the key KEY_ONE + i * _DQ + j * _DT
+_DQ = key_var("t1", -4) - KEY_ONE
+_DT = key_var("t2", -4) - KEY_ONE
+
+# largest degree of the basis, and so of the localization checks
+MAX_DEGREE = 8
 
 _T2_INDEX = VARIABLES.index("t2")
 
@@ -137,32 +143,23 @@ def p_to_m_matrix(n):
 
 
 def m_to_p(n):
-    """m_lam in the p-basis with Fraction coefficients."""
+    """m_lam in the p-basis with Fraction coefficients.
+
+    p_mu expands only in the m_lam with lam dominating mu, so in
+    partitions(n) order forward substitution inverts the p-to-m matrix.
+    """
     parts, p2m = p_to_m_matrix(n)
-    idx = {lam: i for i, lam in enumerate(parts)}
-    size = len(parts)
-    aug = [[Fraction(p2m[mu].get(lam, 0)) for lam in parts] +
-           [Fraction(1 if j == idx[mu] else 0) for j in range(size)]
-           for mu in parts]
-    # Fraction Gaussian elimination for the inverse
-    for col in range(size):
-        piv = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    # aug is now [I | M^{-1}]; row lam of M^{-1} gives m_lam in the p-basis
-    return {lam: {mu: aug[idx[lam]][size + idx[mu]] for mu in parts
-                  if aug[idx[lam]][size + idx[mu]]}
-            for lam in parts}
-
-
-def h_in_p(m):
-    """Complete homogeneous h_m in the p-basis."""
-    return {mu: Fraction(1, z_mu(mu)) for mu in partitions(m)}
+    out = {}
+    for mu in parts:
+        # m_mu = (p_mu - sum over lam > mu of M[mu][lam] m_lam) / M[mu][mu]
+        row = {mu: Fraction(1)}
+        for lam, c in p2m[mu].items():
+            if lam != mu:
+                for rho, v in out[lam].items():
+                    row[rho] = row.get(rho, 0) - c * v
+        out[mu] = {rho: row[rho] / p2m[mu][mu] for rho in parts
+                   if row.get(rho)}
+    return out
 
 
 def _p_mult(f, g):
@@ -201,7 +198,7 @@ def s_in_p(lam, _cache={}):
             return None
         if m == 0:
             return {(): Fraction(1)}
-        return h_in_p(m)
+        return {mu: Fraction(1, z_mu(mu)) for mu in partitions(m)}  # h_m
 
     def det(rows, cols):
         if len(rows) == 1:
@@ -220,6 +217,32 @@ def s_in_p(lam, _cache={}):
     result = det(list(range(ell)), list(range(ell)))
     _cache[lam] = result
     return result
+
+
+def character_table(n):
+    """chi[lam][rho] = z_rho [p_rho] s_lam, the integer characters of S_n."""
+    return {lam: {rho: int(v * z_mu(rho)) for rho, v in s_in_p(lam).items()}
+            for lam in partitions(n)}
+
+
+def _twisted_schur(f, step, chars):
+    """{lam: s_lam coefficient of f[X(1-x)]} for the lam in chars.
+
+    f maps rho to the p_rho coefficient, a polynomial over a denominator the
+    caller keeps; x is the monomial with key KEY_ONE + step.  The plethysm
+    multiplies the p_rho coefficient by prod_{k in rho} (1 - x^k), and the
+    s_lam coefficient of g is sum_rho chi[lam][rho] g_rho.
+    """
+    out = {lam: {} for lam in chars}
+    for rho, c in f.items():
+        for k in rho:
+            c = padd(c, {key + k * step: -v for key, v in c.items()})
+        for lam, chi in chars.items():
+            acc, x = out[lam], chi.get(rho, 0)
+            for key, v in c.items():
+                acc[key] = acc.get(key, 0) + x * v
+    return {lam: {k: v for k, v in acc.items() if v}
+            for lam, acc in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +349,13 @@ def macd_H_hhl(n):
     den = lcm(*(v.denominator for row in m2p.values() for v in row.values()))
     m2p = {lam: {rho: int(v * den) for rho, v in row.items()}
            for lam, row in m2p.items()}
-    # q = t1^(-2) and t = t2^(-2): q^i t^j is the key KEY_ONE + i dq + j dt
-    dq, dt = key_var("t1", -4) - KEY_ONE, key_var("t2", -4) - KEY_ONE
     summed = {mu: _hhl_fillings(mu) for mu in parts
               if len(mu) >= len(conjugate(mu))}
     out = {}
     for mu in parts:
         # H~_mu(q, t) = H~_mu'(t, q)
-        src, (di, dj) = ((mu, (dq, dt)) if mu in summed
-                         else (conjugate(mu), (dt, dq)))
+        src, (di, dj) = ((mu, (_DQ, _DT)) if mu in summed
+                         else (conjugate(mu), (_DT, _DQ)))
         acc = {}
         for lam, poly in summed[src].items():
             poly = {KEY_ONE + i * di + j * dj: c for (i, j), c in poly.items()}
@@ -472,55 +493,33 @@ def macd_H_axioms(n):
     """
     parts = partitions(n)
     s_p = {nu: _to_scalar_dict(s_in_p(nu)) for nu in parts}
-    zs = {mu: Scalar.from_int(z_mu(mu)) for mu in parts}
+    chars = character_table(n)
 
-    def _prod_factor(mu, param):
-        f = ONE
-        for k in mu:
-            f = f * (ONE - param ** k)
-        return f
-
-    def twisted_matrix(param):
-        # entry (mu, nu): s_mu coefficient of s_nu[X(1-param)]
+    def twisted_matrix(step):
+        # entry (mu, nu): s_mu coefficient of s_nu[X(1-x)], x = q or t
         cols = {}
         for nu in parts:
-            twisted = {rho: v * _prod_factor(rho, param)
-                       for rho, v in s_p[nu].items()}
-            for mu in parts:
-                val = ZERO
-                for rho, a in twisted.items():
-                    b = s_p[mu].get(rho)
-                    if b is not None:
-                        val = val + a * b * zs[rho]
-                cols[(mu, nu)] = val
+            den = lcm(*(v.denominator for v in s_in_p(nu).values()))
+            f = {rho: pconst(int(v * den)) for rho, v in s_in_p(nu).items()}
+            for mu, c in _twisted_schur(f, step, chars).items():
+                cols[(mu, nu)] = Scalar(c, pconst(den))
         return cols
 
-    Aq = twisted_matrix(Q_MACD)
-    At = twisted_matrix(T_MACD)
+    Aq = twisted_matrix(_DQ)
+    At = twisted_matrix(_DT)
 
     out = {}
     for lam in parts:
-        lam_c = conjugate(lam)
-        rows, rhs = [], []
-        for mu in parts:
-            if not dominates(mu, lam):
-                cleared = _clear_row([Aq[(mu, nu)] for nu in parts])
-                rows.append(cleared)
-                rhs.append({})
-            if not dominates(mu, lam_c):
-                cleared = _clear_row([At[(mu, nu)] for nu in parts])
-                rows.append(cleared)
-                rhs.append({})
-        norm_key = (n,) if n else ()
-        rows.append([pone() if nu == norm_key else pzero() for nu in parts])
-        rhs.append(pone())
+        rows = [_clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
+                for A, top in ((Aq, lam), (At, conjugate(lam)))
+                if not dominates(mu, top)]
+        rhs = [pzero() for _ in rows] + [pone()]
+        rows.append([pone() if nu == parts[0] else pzero() for nu in parts])
         # the Schur coefficients are polynomial, so exact division clears
         # the determinant denominator of the solve
         sol = [x.reduced() for x in solve_poly_system(rows, rhs)]
         f = {}
         for nu, x in zip(parts, sol):
-            if x.is_zero():
-                continue
             for mu, v in s_p[nu].items():
                 f[mu] = f.get(mu, ZERO) + x * v
         out[lam] = {mu: v for mu, v in f.items() if not v.is_zero()}
@@ -549,19 +548,6 @@ def star_weight(rho):
     return w
 
 
-def _star_pairing(f, g, weights):
-    """<f, g>_* of two p-coefficient dicts, weights[rho] = star_weight(rho).
-
-    Each term is reduced on its own; see MacdonaldBasis.pairings.
-    """
-    total = ZERO
-    for rho, h in g.items():
-        c = f.get(rho)
-        if c is not None:
-            total = (c * (h * weights[rho])).reduced() + total
-    return total
-
-
 def norm(lam):
     """w_lam = <H_lam, H_lam>_* = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1))."""
     w = ONE
@@ -579,16 +565,14 @@ def norm(lam):
 class MacdonaldBasis:
     """Per-degree cache of H_lam with decomposition and localization sums."""
 
-    def __init__(self, orientation="arms_t1", max_degree=8):
+    def __init__(self, orientation="arms_t1"):
         self.orientation = orientation
-        self.max_degree = max_degree
         self._H = {}
-        self._orthogonal = set()
+        self._certified = set()
 
     def build_degree(self, n):
-        if n > self.max_degree:
-            raise ValueError(f"degree {n} beyond configured bound "
-                             f"{self.max_degree}")
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} beyond the bound {MAX_DEGREE}")
         if n in self._H:
             return
         self._H[n] = macd_H_hhl(n)
@@ -599,19 +583,58 @@ class MacdonaldBasis:
         self.build_degree(n)
         return FockElement(self._H[n][tuple(lam)], n)
 
+    def certify(self, n):
+        """Check the degree-n basis against Haiman's axioms, once.
+
+        H~_mu is the unique symmetric function with H~_mu[X(1-q)] in the
+        span of the s_lam with lam >= mu, H~_mu[X(1-t)] in the span of the
+        s_lam with lam >= mu', and <H~_mu, s_(n)> = 1 (Haiman, J. Amer. Math.
+        Soc. 14, 2001).  Raises ArithmeticError naming mu, the axiom and lam.
+        """
+        if n in self._certified:
+            return
+        self.build_degree(n)
+        chars = character_table(n)
+        for mu, H in self._H[n].items():
+            # polynomials over one common factor, which the cleared ONE holds
+            *coeffs, one = _clear_row([*H.values(), ONE])
+            f = dict(zip(H, coeffs))
+            for x, step, top in (("q", _DQ, mu), ("t", _DT, conjugate(mu))):
+                low = {lam: chi for lam, chi in chars.items()
+                       if not dominates(lam, top)}
+                for lam, c in _twisted_schur(f, step, low).items():
+                    if c:
+                        raise ArithmeticError(
+                            f"H_{mu} fails the {x}-axiom: H_mu[X(1-{x})] "
+                            f"has a nonzero s_{lam} coefficient")
+            # <f, s_(n)> is the sum of the p-coefficients of f
+            if reduce(padd, coeffs, pzero()) != one:
+                raise ArithmeticError(
+                    f"H_{mu} fails the normalization: its s_({n}) "
+                    f"coefficient is not 1")
+        self._certified.add(n)
+
     def pairings(self, f, n):
         """{lam: <f, H_lam>_*} for the degree-n slice of f.
 
-        f is a FockElement with Scalar or Series coefficients.  Every term
-        f_rho H_lam,rho <p_rho, p_rho>_* is reduced on its own: the weight
-        cancels the (1-t1^2k)(1-t2^2k) denominators of the generating
-        functions, so the terms, and with them the pairings, are Laurent
-        polynomials over an integer.
+        Certifies the basis first: these give the H_lam coefficients only on
+        the basis the axioms determine.  f is a FockElement with Scalar or
+        Series coefficients.  Every term f_rho H_lam,rho <p_rho, p_rho>_* is
+        reduced on its own: the weight cancels the (1-t1^2k)(1-t2^2k)
+        denominators of the generating functions, so the terms, and with them
+        the pairings, are Laurent polynomials over an integer.
         """
-        self.build_degree(n)
+        self.certify(n)
         weights = {rho: star_weight(rho) for rho in partitions(n)}
-        return {lam: _star_pairing(f.coeffs, self._H[n][lam], weights)
-                for lam in partitions(n)}
+        out = {}
+        for lam, H in self._H[n].items():
+            total = ZERO
+            for rho, h in H.items():
+                c = f.coeffs.get(rho)
+                if c is not None:
+                    total = (c * (h * weights[rho])).reduced() + total
+            out[lam] = total
+        return out
 
     def decompose(self, f, n):
         """Coefficients c_lam with (degree-n slice of f) = sum c_lam H_lam.
@@ -620,29 +643,6 @@ class MacdonaldBasis:
         """
         return {lam: p * norm(lam).inverse()
                 for lam, p in self.pairings(f, n).items()}
-
-    def check_orthogonal(self, n):
-        """Certify <H_lam, H_mu>_* = delta_lam,mu w_lam at degree n, once.
-
-        Reading H_lam coefficients through pairings is exact only on a
-        *-orthogonal basis, so the checks certify the basis they use.  Raises
-        ArithmeticError naming the first (lam, mu) that fails.
-        """
-        if n in self._orthogonal:
-            return
-        self.build_degree(n)
-        parts = partitions(n)
-        weights = {rho: star_weight(rho) for rho in parts}
-        # the *-form is diagonal in the p-basis, hence symmetric: one
-        # pairing per unordered pair certifies both orders
-        H = self._H[n]
-        for i, mu in enumerate(parts):
-            for lam in parts[i:]:
-                p = _star_pairing(H[mu], H[lam], weights)
-                if p != (norm(lam) if lam == mu else ZERO):
-                    raise ArithmeticError(f"<H_{lam}, H_{mu}>_* is not "
-                                          f"{'w_lam' if lam == mu else 0}")
-        self._orthogonal.add(n)
 
     def localization_sum(self, eig, n):
         """sum over |lam| = n of eig(lam) H_lam / Euler(lam), exactly.

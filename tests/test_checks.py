@@ -222,6 +222,14 @@ def test_vertex_table_n2_entries_are_small():
             assert max(len(c.num), len(c.den)) <= 8
 
 
+def test_vertex_table_certifies_its_basis():
+    basis = MacdonaldBasis()
+    basis.build_degree(2)
+    basis._H[2][(1, 1)] = basis._H[2][(2,)]
+    with pytest.raises(ArithmeticError, match=r"H_\(1, 1\) fails"):
+        capped_vertex_table(2, basis=basis)
+
+
 def test_vertex_table_bounds():
     with pytest.raises(ValueError):
         capped_vertex_table(5)

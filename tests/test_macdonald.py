@@ -5,11 +5,11 @@ import pytest
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, decode, encode,
                                InconsistentSystemError)
 from hilbvertex.characters import partitions, conjugate
-from hilbvertex.macdonald import (MacdonaldBasis, macd_H, macd_H_axioms,
-                                  macd_H_gram_schmidt, macd_H_hhl,
-                                  fixed_point_decompose,
-                                  localization_sum, euler_hilb, default_basis,
-                                  norm, Q_MACD, T_MACD)
+from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
+                                  macd_H_axioms, macd_H_gram_schmidt,
+                                  macd_H_hhl, fixed_point_decompose,
+                                  localization_sum, euler_hilb, norm,
+                                  star_weight, Q_MACD, T_MACD)
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex.checks import closed_F, check_kernel_identity
 
@@ -50,14 +50,21 @@ def test_homogeneity():
 
 
 def test_basis_star_orthogonal_with_closed_form_norms():
-    # <H_lam, H_mu>_* = delta * w_lam with nonzero w_lam: stronger than the
-    # nonsingularity of the change of basis to the p_mu
-    basis = default_basis()
-    for n in (1, 2, 3, 4):
-        for mu in partitions(n):
-            got = basis.pairings(macd_H(mu), n)
-            for lam in partitions(n):
-                assert got[lam] == (norm(lam) if lam == mu else ZERO)
+    # <H_lam, H_mu>_* = delta * w_lam with nonzero w_lam.  The certificate
+    # checks the axioms, and orthogonality follows from them as a theorem;
+    # this pins that star_weight, norm and q = t1^-2, t = t2^-2 are the
+    # theorem's conventions.  The form is symmetric: one pairing per
+    # unordered pair.
+    for n in range(7):
+        parts = partitions(n)
+        H = {mu: macd_H(mu).coeffs for mu in parts}
+        for i, mu in enumerate(parts):
+            for lam in parts[i:]:
+                got = ZERO
+                for rho, c in H[mu].items():
+                    if rho in H[lam]:
+                        got = got + c * H[lam][rho] * star_weight(rho)
+                assert got == (norm(lam) if lam == mu else ZERO)
             assert not norm(mu).is_zero()
 
 
@@ -66,11 +73,27 @@ def test_corrupted_basis_fails_certification():
     basis.build_degree(2)
     basis._H[2][(1, 1)] = basis._H[2][(2,)]
     with pytest.raises(ArithmeticError,
-                       match=r"<H_\(1, 1\), H_\(2,\)>_\* is not 0"):
-        basis.check_orthogonal(2)
-    # the identity check certifies the basis first, so it cannot pass
+                       match=r"H_\(1, 1\) fails the t-axiom: .* s_\(1, 1\) "):
+        basis.certify(2)
+    # the identity check reads through pairings, which certify the basis
     with pytest.raises(ArithmeticError):
         check_kernel_identity(2, basis=basis)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda H: H.update({(2, 1): H[(3,)]}),
+     r"H_\(2, 1\) fails the t-axiom: .* s_\(1, 1, 1\) "),
+    (lambda H: H.update({(2, 1): {r: v * 2 for r, v in H[(2, 1)].items()}}),
+     r"H_\(2, 1\) fails the normalization: .* s_\(3\) "),
+    (lambda H: H.update({(3,): H[(1, 1, 1)]}),
+     r"H_\(3,\) fails the q-axiom: .* s_\(2, 1\) "),
+], ids=["t_axiom", "normalization", "q_axiom"])
+def test_certificate_names_mu_axiom_and_lam(corrupt, message):
+    basis = MacdonaldBasis()
+    basis.build_degree(3)
+    corrupt(basis._H[3])
+    with pytest.raises(ArithmeticError, match=message):
+        basis.certify(3)
 
 
 def test_decompose_series_roundtrip():
@@ -122,11 +145,11 @@ def test_hhl_matches_gram_schmidt():
 
 
 def test_degree_six_basis_is_certified():
-    # beyond the reach of the axioms route: certify it by *-orthogonality
-    # and the normalization.  The s_(6) coefficient of H_lam is the Hall
-    # pairing with s_(6) = sum_rho p_rho / z_rho, the sum of its p-coefficients.
+    # beyond the reach of the axioms route's solve, but not of the axioms.
+    # The s_(6) coefficient of H_lam is the Hall pairing with
+    # s_(6) = sum_rho p_rho / z_rho, the sum of its p-coefficients.
     basis = MacdonaldBasis()
-    basis.check_orthogonal(6)
+    basis.certify(6)
     for lam in partitions(6):
         total = ZERO
         for v in basis.H(lam).coeffs.values():
@@ -176,6 +199,5 @@ def test_decompose_localization_roundtrip_random():
 
 
 def test_degree_bound_guard():
-    basis = MacdonaldBasis(max_degree=2)
     with pytest.raises(ValueError):
-        basis.build_degree(3)
+        MacdonaldBasis().build_degree(MAX_DEGREE + 1)
