@@ -15,9 +15,9 @@ checks.calibrate):
     matching the line-bundle eigenvalue a^(-|lam1|) * prod t1^(1-j) t2^(1-i).
 """
 
-from .scalar import (Scalar, ZERO, ONE, A, HBAR, KEY_ONE, NVARS, VARIABLES,
+from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, NVARS, VARIABLES,
                      decode, encode, key_var, key_mul, key_inv,
-                     pmul, pone)
+                     padd, pmul, pone)
 
 _A_INDEX = VARIABLES.index("a")
 
@@ -238,15 +238,6 @@ class Character:
             den = pmul(den, f)
         return Scalar(num, den)
 
-    def weight_scalars(self):
-        """Weights as monomial Scalars, repeated by multiplicity (all > 0)."""
-        out = []
-        for k, m in sorted(self.weights.items()):
-            if m < 0:
-                raise ValueError("character is not effective")
-            out.extend([Scalar({k: 1})] * m)
-        return out
-
     def render(self):
         if not self.weights:
             return "0"
@@ -372,16 +363,18 @@ def chern_eigen(lams, framing, k, dual=False):
     """k-th elementary symmetric function of the (inverse) box weights."""
     if k < 0 or k > sum(size(l) for l in lams):
         raise ValueError(f"chern index {k} out of range")
-    V = taut_character(lams, framing)
-    ws = V.weight_scalars()
-    if dual:
-        ws = [w.inverse() for w in ws]
-    # elementary symmetric polynomials by sequential convolution
-    e = [ONE] + [ZERO] * k
-    for w in ws:
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] = e[j] + e[j - 1] * w
-    return e[k]
+    weights = taut_character(lams, framing).weights
+    if any(m < 0 for m in weights.values()):
+        raise ValueError("character is not effective")
+    # elementary symmetric polynomials by sequential convolution on keys
+    e = [pone()] + [{}] * k
+    for w, m in weights.items():
+        shift = (key_inv(w) if dual else w) - KEY_ONE
+        for _ in range(m):
+            for j in range(k, 0, -1):
+                e[j] = padd(e[j], {key + shift: c
+                                   for key, c in e[j - 1].items()})
+    return Scalar(e[k])
 
 
 def delta_11(lam1, lam2, variant="proof"):

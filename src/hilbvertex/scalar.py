@@ -9,6 +9,12 @@ term under graded-lex order; full multivariate gcd reduction is deliberately
 not performed.  Equality is decided by cross multiplication, which makes it
 exact without gcd.
 
+Two denominators that agree up to a unit, b*d2 == a*m*d1 with a monomial m
+and integers a, b, are recognized in O(len) (`_unit_ratio`): a sum over them
+stays over the one denominator b*d2, without cross multiplication.
+`_canonicalize` is unchanged; a sum computed this way can be stored
+differently from the cross-multiplied sum, with an equal value.
+
 A polynomial is a plain dict {packed_key: int}.  A packed key holds the five
 doubled exponents in 20-bit biased fields of one Python int, so monomial
 multiplication is a single integer addition.
@@ -306,6 +312,30 @@ def prender(f, order="grlex"):
 # Scalar: canonical fraction of Laurent polynomials
 # ---------------------------------------------------------------------------
 
+def _unit_ratio(d1, d2):
+    """(a, b, s) with b*d2 == a*m*d1, or None when no such unit exists.
+
+    m is the monomial whose key is s + KEY_ONE, and a, b are coprime
+    integers with b > 0.  The largest key leads under a monomial order (see
+    `pdivexact`), so the only candidate is s = max(d2) - max(d1) with a/b
+    the ratio of the two leading coefficients; every term is then checked.
+    """
+    if len(d1) != len(d2):
+        return None
+    l1, l2 = max(d1), max(d2)
+    s = l2 - l1
+    c1, c2 = d1[l1], d2[l2]
+    g = math.gcd(c1, c2)
+    if c1 < 0:
+        g = -g
+    a, b = c2 // g, c1 // g
+    get = d2.get
+    for k, c in d1.items():
+        if get(k + s, 0) * b != a * c:
+            return None
+    return a, b, s
+
+
 def _canonicalize(num, den):
     if not den:
         raise ZeroDivisionError("zero denominator")
@@ -394,6 +424,12 @@ class Scalar:
             return NotImplemented
         if self.den == other.den:
             return Scalar(padd(self.num, other.num), dict(self.den))
+        unit = _unit_ratio(self.den, other.den)
+        if unit:
+            a, b, s = unit
+            num = padd({k + s: a * c for k, c in self.num.items()},
+                       pmul_int(other.num, b))
+            return Scalar(num, pmul_int(other.den, b))
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
         return Scalar(num, pmul(self.den, other.den))
 
@@ -689,6 +725,8 @@ def solve_poly_system(rows, rhs):
     determinant D, and every equation is verified as the polynomial
     identity sum_j row_j N_j == rhs D.  Returns a list of Scalars N_j / D.
     """
+    if not rows:
+        return []
     n = len(rows[0])
     m = [list(r) + [b] for r, b in zip(rows, rhs)]
     pivots, _ = _bareiss(m, n)

@@ -125,6 +125,30 @@ def test_chern_dual_uses_inverse_weights():
     assert v == ONE + T1.inverse()
 
 
+def _chern_by_scalar_convolution(lams, framing, k, dual):
+    ws = []
+    for key, m in sorted(taut_character(lams, framing).weights.items()):
+        ws.extend([Scalar({key: 1})] * m)
+    if dual:
+        ws = [w.inverse() for w in ws]
+    e = [ONE] + [ZERO] * k
+    for w in ws:
+        for j in range(k, 0, -1):
+            e[j] = e[j] + e[j - 1] * w
+    return e[k]
+
+
+def test_chern_matches_scalar_convolution():
+    for n in range(4):
+        cases = [((lam,), (ONE,)) for lam in partitions(n)]
+        cases += [(pair, (ONE, A)) for pair in fixed_points_rank2(n)]
+        for lams, framing in cases:
+            for k in range(n + 1):
+                for dual in (False, True):
+                    assert chern_eigen(lams, framing, k, dual) == \
+                        _chern_by_scalar_convolution(lams, framing, k, dual)
+
+
 def test_delta_trivial():
     assert delta_11((), ()) == ONE
 

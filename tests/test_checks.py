@@ -6,7 +6,7 @@ from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
 from hilbvertex.series import Series
 from hilbvertex.characters import partitions
 from hilbvertex.fock import (JJ0_READINGS, FockElement, tensor_exp,
-                             jj0_substitute, project_second)
+                             jj0_substitute, project_second, pexp)
 from hilbvertex.macdonald import MacdonaldBasis
 from hilbvertex import checks
 from hilbvertex.checks import (check_kernel_identity, check_mellit,
@@ -93,6 +93,15 @@ def test_closed_F_u1_z0_is_trivial():
         v = c.coefficient(0, 0)
         # every p-coefficient carries a (1 - u^k) factor
         assert v.specialize({"u": 1}).is_zero()
+
+
+def test_closed_F_keeps_small_denominators():
+    # the p_mu coefficients of exp(sum_k c_k p_k) share the denominators of
+    # the c_k up to units; cross-multiplied sums reached 2,778 terms here
+    F = closed_F(5, 8)
+    assert all(len(s.num) <= 36 and len(s.den) <= 36
+               for ser in F.coeffs.values() for s in ser.coeffs.values())
+    assert F == pexp(checks.ook_argument(8), 5)
 
 
 def test_build_F_first_order_correction():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
-                               pmul, pone, pconst, padd, psub, key_mul,
-                               bareiss_det, bareiss_solve, solve_poly_system,
-                               InconsistentSystemError)
+                               pmul, pmul_int, pone, pconst, padd, psub,
+                               key_mul, bareiss_det, bareiss_solve,
+                               solve_poly_system, InconsistentSystemError)
 
 rng = random.Random(20240817)
 
@@ -156,6 +156,46 @@ def test_field_axioms_on_random_triples(x, y, z):
     if not x.is_zero():
         assert x * x.inverse() == ONE
         assert (y / x) * x == y
+
+
+def _cross_equal(x, y):
+    """Equality of values by cross multiplication alone."""
+    return pmul(x.num, y.den) == pmul(y.num, x.den)
+
+
+monomials = st.tuples(*[st.integers(-4, 4)] * 3).map(
+    lambda e: encode((e[0], e[1], 0, e[2], 0)))
+units = st.integers(-6, 6).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent.filter(bool), laurent.filter(bool), laurent.filter(bool),
+       monomials, units, units)
+def test_sum_over_unit_multiple_denominators(n1, n2, d, m, a, b):
+    # a b m d is a unit multiple of d: the sum keeps len(d) terms below the
+    # line, and sum and equality agree with cross multiplication
+    x, y = Scalar(n1, d), Scalar(n2, pmul_int(pmul({m: a}, d), b))
+    total = x + y
+    want = Scalar(padd(pmul(x.num, y.den), pmul(y.num, x.den)),
+                  pmul(x.den, y.den))
+    assert _cross_equal(total, want)
+    assert total.is_zero() or len(total.den) == len(d)
+    assert (x == y) == _cross_equal(x, y)
+    # canonical form is unique up to a unit: an equal value over a m d is
+    # stored as x is, so equality needs no unit-ratio path of its own
+    same = Scalar(pmul({m: a}, n1), pmul({m: a}, d))
+    assert (same.num, same.den) == (x.num, x.den)
+
+
+def test_sum_over_denominators_that_are_not_unit_multiples():
+    # of the same length; the middle pair shares its leading monomial
+    for d1, d2 in [(ONE - T1, ONE - T2), (T1 ** 2 + 1, T1 ** 2 + T1),
+                   (ONE - T1 + T2, ONE - T1 - T2)]:
+        x, y = (ONE + U) / d1, (T2 - U) / d2
+        want = Scalar(padd(pmul(x.num, y.den), pmul(y.num, x.den)),
+                      pmul(x.den, y.den))
+        assert _cross_equal(x + y, want)
+        assert x != y
 
 
 def _to_sympy(poly, roots):
@@ -325,6 +365,10 @@ def test_solve_poly_system_overdetermined():
 def test_solve_poly_system_inconsistent():
     with pytest.raises(InconsistentSystemError):
         solve_poly_system([[pone()], [pone()]], [pone(), pconst(2)])
+
+
+def test_solve_poly_system_empty():
+    assert solve_poly_system([], []) == []
 
 
 def test_solve_poly_system_singular_at_probe_points():
