@@ -16,10 +16,13 @@ checks.calibrate):
 """
 
 from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, NVARS, VARIABLES,
-                     decode, encode, key_var, key_mul, key_inv,
+                     decode, encode, key_exp, key_var, key_mul, key_inv,
                      padd, pmul, pone)
 
 _A_INDEX = VARIABLES.index("a")
+# key steps of the weights t1 and t2: t1^i t2^j is KEY_ONE + i*_DT1 + j*_DT2
+_DT1 = key_var("t1") - KEY_ONE
+_DT2 = key_var("t2") - KEY_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ class Character:
         """Sub-character with a-exponent <0, ==0 or >0 according to sign."""
         out = {}
         for k, m in self.weights.items():
-            e = decode(k)[_A_INDEX]
+            e = key_exp(k, _A_INDEX)
             if (sign < 0 and e < 0) or (sign == 0 and e == 0) or \
                (sign > 0 and e > 0):
                 out[k] = m
@@ -264,7 +267,7 @@ def taut_character(lams, framing):
     for lam, fr in zip(lams, framing):
         fk = _weight_key(fr)
         for (r, c) in boxes(lam):
-            k = fk + key_var("t1", 2 * c) + key_var("t2", 2 * r) - 2 * KEY_ONE
+            k = fk + c * _DT1 + r * _DT2
             d[k] = d.get(k, 0) + 1
     return Character(d)
 
@@ -286,7 +289,7 @@ def tangent_hilb(lam, orientation="arms_t1"):
         else:
             raise ValueError(f"unknown orientation {orientation!r}")
         for (e1, e2) in pairs:
-            k = key_var("t1", 2 * e1) + key_var("t2", 2 * e2) - KEY_ONE
+            k = KEY_ONE + e1 * _DT1 + e2 * _DT2
             d[k] = d.get(k, 0) + 1
     return Character(d)
 

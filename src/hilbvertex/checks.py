@@ -23,14 +23,13 @@ import json
 import time
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                     LimitError, VARIABLES, decode, pmul)
+                     LimitError, VARIABLES, key_exp, pmul)
 from .series import Series, rational_reconstruct, ReconstructionError
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import (MacdonaldBasis, MAX_DEGREE, default_basis,
-                        euler_hilb, norm)
+from .macdonald import MacdonaldBasis, MAX_DEGREE, default_basis
 
 _Q_INDEX = VARIABLES.index("q")
 
@@ -39,7 +38,7 @@ DEFAULT_Z_ORDER = 6
 HARD_Y_BOUND = MAX_DEGREE
 HARD_Z_BOUND = 12
 # largest degree of a capped vertex table (vertex --n, verify rationality --n)
-VERTEX_N_MAX = 4
+VERTEX_N_MAX = 5
 
 # frozen by cmd_calibrate; every entry is re-derivable from the checks below
 DEFAULT_CONVENTIONS = {
@@ -111,21 +110,34 @@ def _coeff_den(k):
     return Scalar.from_int(k) * (ONE - T1 ** (2 * k)) * (ONE - T2 ** (2 * k))
 
 
+def kernel_exponents(N):
+    """c_k = hbar^(2k) / (k (1-t1^(2k))(1-t2^(2k))), k <= N."""
+    return {k: _hbar2k(k) / _coeff_den(k) for k in range(1, N + 1)}
+
+
+def mellit_exponents(N):
+    """c_k = hbar^(2k) (1-u^k) / (k (1-t1^(2k))(1-t2^(2k))), k <= N."""
+    return {k: _hbar2k(k) * (ONE - U ** k) / _coeff_den(k)
+            for k in range(1, N + 1)}
+
+
+def osum_exponents(N):
+    """c_k = (-1)^k hbar^(2k) / (k (1-t1^(2k))(1-t2^(2k))), k <= N."""
+    return {k: _hbar2k(k) * ((-1) ** k) / _coeff_den(k)
+            for k in range(1, N + 1)}
+
+
 def kernel_exponential(N):
     """exp( sum_k y^k hbar^(2k) p_k / (k (1-t1^(2k))(1-t2^(2k))) )."""
-    return exp_linear({k: _hbar2k(k) / _coeff_den(k) for k in range(1, N + 1)},
-                      N)
+    return exp_linear(kernel_exponents(N), N)
 
 
 def mellit_exponential(N):
-    c = {k: _hbar2k(k) * (ONE - U ** k) / _coeff_den(k)
-         for k in range(1, N + 1)}
-    return exp_linear(c, N)
+    return exp_linear(mellit_exponents(N), N)
 
 
 def osum_exponential(N):
-    c = {k: _hbar2k(k) * ((-1) ** k) / _coeff_den(k) for k in range(1, N + 1)}
-    return exp_linear(c, N)
+    return exp_linear(osum_exponents(N), N)
 
 
 def mellit_eigenvalue(lam):
@@ -144,51 +156,52 @@ def osum_eigenvalue(lam):
 # localization-vs-exponential checks
 # ---------------------------------------------------------------------------
 
-def _compare_by_degree(basis, eig, rhs, N):
-    """Check sum_lam eig(lam) H_lam / Euler(lam) == rhs in each degree n <= N.
+def _compare_by_degree(basis, eig, c, N):
+    """Check sum_lam eig(lam) H_lam / Euler(lam) == exp(sum_k c_k p_k) in
+    each degree n <= N.
 
     The identity holds in degree n exactly when, at every fixed point lam,
-    the H_lam coefficients agree: <rhs, H_lam>_* / w_lam == eig(lam) /
-    Euler(lam).  basis.pairings certifies the basis it reads them from.  The
-    equality is tested as the cross-product, so no common denominator is
-    ever formed.
+    the H_lam coefficients agree: <exp, H_lam>_* / w_lam == eig(lam) /
+    Euler(lam).  basis.exp_pairings certifies the basis and pairs the
+    exponential through its exponents c_k, so the exponential is never
+    expanded.  The equality is tested as the cross-product.
     """
     for n in range(N + 1):
-        for lam, p in basis.pairings(rhs, n).items():
-            euler = euler_hilb(lam, basis.orientation)
-            if p * euler != eig(lam) * norm(lam):
+        for lam, p in basis.exp_pairings(c, n).items():
+            euler, w = basis.euler(lam), basis.norm(lam)
+            if p * euler != eig(lam) * w:
                 return "mismatch", {
                     "degree": n,
                     "fixed_point": list(lam),
                     "localization_side": (eig(lam) / euler).render(),
-                    "exponential_side": (p / norm(lam)).render(),
+                    "exponential_side": (p / w).render(),
                 }
     return "exact-match", {"degrees_checked": N}
 
 
 def check_kernel_identity(N=5, orientation="arms_t1", basis=None):
     basis = basis or _basis_for(orientation)
-    rhs = kernel_exponential(N)
+    c = kernel_exponents(N)
     conv = {"tangent_orientation": basis.orientation,
             "euler_weights": DEFAULT_CONVENTIONS["euler_weights"]}
     return _timed("kernel_identity", {"y": N},
-                  lambda: _compare_by_degree(basis, lambda lam: ONE, rhs, N),
+                  lambda: _compare_by_degree(basis, lambda lam: ONE, c, N),
                   conv)
 
 
 def check_mellit(N=4, orientation="arms_t1", basis=None):
     basis = basis or _basis_for(orientation)
-    rhs = mellit_exponential(N)
+    c = mellit_exponents(N)
     conv = {"tangent_orientation": basis.orientation,
             "mellit_descendent": DEFAULT_CONVENTIONS["mellit_descendent"]}
     return _timed("mellit_generating_function", {"y": N},
-                  lambda: _compare_by_degree(basis, mellit_eigenvalue, rhs, N),
+                  lambda: _compare_by_degree(basis, mellit_eigenvalue, c, N),
                   conv)
 
 
 def check_osum(N=5, orientation="arms_t1", basis=None):
     basis = basis or _basis_for(orientation)
-    rhs = osum_exponential(N)
+    c = osum_exponents(N)
     conv = {
         "tangent_orientation": basis.orientation,
         "osum_eigenvalue": DEFAULT_CONVENTIONS["osum_eigenvalue"],
@@ -196,7 +209,7 @@ def check_osum(N=5, orientation="arms_t1", basis=None):
                           "exponential under p_k -> (-1)^k p_k (y -> -y)",
     }
     return _timed("structure_sheaf_series", {"y": N},
-                  lambda: _compare_by_degree(basis, osum_eigenvalue, rhs, N),
+                  lambda: _compare_by_degree(basis, osum_eigenvalue, c, N),
                   conv)
 
 
@@ -451,7 +464,7 @@ def _q_euler(poly):
     """q d/dq on a polynomial, up to the factor 1/2 of the doubled exponents."""
     out = {}
     for k, c in poly.items():
-        e = decode(k)[_Q_INDEX]
+        e = key_exp(k, _Q_INDEX)
         if e:
             out[k] = c * e
     return out
@@ -466,8 +479,9 @@ def is_q_free(x):
 def capped_vertex_table(n, Nz=None, basis=None):
     """Reconstruct the degree-n fixed-point restrictions as rational functions.
 
-    Takes the y^n slice of the closed form and pairs it with every H_lam
-    under the *-scalar product.  The fixed-point restriction is the H_lam
+    Pairs the y^n slice of the closed form with every H_lam under the
+    *-scalar product, through its exponents (basis.exp_pairings): the closed
+    form is never expanded.  The fixed-point restriction is the H_lam
     coefficient times the calibrated Euler factor, that is the pairing
     times the ratio Euler(lam) / w_lam, which reduces to a monomial; so every
     z-coefficient is a Laurent polynomial.  Each z-series is reconstructed
@@ -484,13 +498,13 @@ def capped_vertex_table(n, Nz=None, basis=None):
     if Nz < 2 * B + 2:
         raise ValueError(f"need z-order at least {2 * B + 2}")
     basis = basis or default_basis()
-    F = closed_F(n, Nz)
-    pairings = basis.pairings(F.degree_slice(n), n)
+    pairings = basis.exp_pairings(closed_exponents(n, Nz), n,
+                                  one=Series.one(0, Nz))
     cand = candidate_denominator(n)
     entries = {}
     q_free = True
     for lam in partitions(n):
-        ratio = (euler_hilb(lam, basis.orientation) / norm(lam)).reduced()
+        ratio = (basis.euler(lam) / basis.norm(lam)).reduced()
         series = pairings[lam] * ratio
         if n == 0:
             entries[lam] = ({0: series.coefficient(0, 0)}, {0: ONE})

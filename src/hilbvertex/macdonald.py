@@ -34,11 +34,16 @@ w_lam = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1)) (Garsia-Tesler,
 Adv. Math. 1996; Haiman, "Combinatorics, symmetric functions and Hilbert
 schemes", 2003), a theorem about the basis the axioms determine.  So the
 H_lam coefficient of f is <f, H_lam>_* / w_lam and no linear algebra is needed.
+Against an exponential exp(sum_k c_k p_k) the pairing is H_lam with p_k
+replaced by (-1)^(k-1) k (1-q^k)(1-t^k) c_k (the Cauchy identity; Macdonald,
+"Symmetric Functions and Hall Polynomials", I.4), so exp_pairings reads it
+off the exponents without expanding the exponential.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
                      pmul, pmul_int, decode, encode, key_var, VARIABLES,
@@ -569,6 +574,8 @@ class MacdonaldBasis:
         self.orientation = orientation
         self._H = {}
         self._certified = set()
+        self._norms = {}
+        self._eulers = {}
 
     def build_degree(self, n):
         if n > MAX_DEGREE:
@@ -614,6 +621,20 @@ class MacdonaldBasis:
                     f"coefficient is not 1")
         self._certified.add(n)
 
+    def norm(self, lam):
+        """w_lam (module-level norm), computed once per basis."""
+        got = self._norms.get(lam)
+        if got is None:
+            got = self._norms[lam] = norm(lam)
+        return got
+
+    def euler(self, lam):
+        """euler_hilb(lam) in this basis's orientation, computed once."""
+        got = self._eulers.get(lam)
+        if got is None:
+            got = self._eulers[lam] = euler_hilb(lam, self.orientation)
+        return got
+
     def pairings(self, f, n):
         """{lam: <f, H_lam>_*} for the degree-n slice of f.
 
@@ -622,7 +643,9 @@ class MacdonaldBasis:
         Series coefficients.  Every term f_rho H_lam,rho <p_rho, p_rho>_* is
         reduced on its own: the weight cancels the (1-t1^2k)(1-t2^2k)
         denominators of the generating functions, so the terms, and with them
-        the pairings, are Laurent polynomials over an integer.
+        the pairings, are Laurent polynomials over an integer.  This is the
+        route for a general f; an exponential of a form linear in the p_k
+        pairs faster through exp_pairings.
         """
         self.certify(n)
         weights = {rho: star_weight(rho) for rho in partitions(n)}
@@ -633,6 +656,39 @@ class MacdonaldBasis:
                 c = f.coeffs.get(rho)
                 if c is not None:
                     total = (c * (h * weights[rho])).reduced() + total
+            out[lam] = total
+        return out
+
+    def exp_pairings(self, c, n, one=None):
+        """{lam: <exp(sum_k c_k p_k), H_lam>_*} in degree n, from the c_k.
+
+        The p_rho coefficient of the exponential is prod_k c_k^m_k / m_k!,
+        and star_weight(rho) is prod_k star_weight((k,))^m_k m_k! over the
+        multiplicities m_k of rho, with star_weight((k,)) = (-1)^(k-1) k
+        (1-q^k)(1-t^k); so the term of rho is g_rho = prod_{k in rho} g_k
+        with g_k = star_weight((k,)) c_k (the Cauchy identity under the
+        *-product).  Each g_k is reduced once, each g_rho formed once and
+        shared by every lam, and the exponential is never expanded.  `c`
+        maps k to Scalar or Series exponents, as for fock.exp_linear; a
+        missing c_k is zero, and `one` is the value of the empty product
+        (ONE by default).  Certifies the basis first, as pairings does.
+        """
+        self.certify(n)
+        if one is None:
+            one = ONE
+        g = {k: (ck * star_weight((k,))).reduced()
+             for k, ck in c.items() if k <= n}
+        terms = {(): one}
+        for rho in partitions(n):
+            if rho and all(k in g for k in rho):
+                terms[rho] = reduce(mul, [g[k] for k in rho])
+        out = {}
+        for lam, H in self._H[n].items():
+            total = ZERO
+            for rho, h in H.items():
+                t = terms.get(rho)
+                if t is not None:
+                    total = t * h + total
             out[lam] = total
         return out
 

@@ -70,6 +70,11 @@ def decode(key):
                  for i in range(NVARS))
 
 
+def key_exp(key, i):
+    """The doubled exponent of VARIABLES[i] in a packed key."""
+    return ((key >> (_FIELD_BITS * i)) & _MASK) - _BIAS
+
+
 def key_mul(k1, k2):
     return k1 + k2 - KEY_ONE
 
@@ -508,7 +513,8 @@ class Scalar:
 
     @staticmethod
     def _var_min(poly, iv):
-        return min(decode(k)[iv] for k in poly)
+        s = _FIELD_BITS * iv
+        return min([(k >> s) & _MASK for k in poly]) - _BIAS
 
     def valuation(self, name):
         """Order of vanishing at name=0, as a Fraction (half-integers allowed)."""
@@ -522,18 +528,20 @@ class Scalar:
         """Value at name=0; raises LimitError when the valuation is negative."""
         if not self.num:
             return Scalar(pzero())
-        val = self.valuation(name)
-        if val < 0:
-            raise LimitError(val)
-        if val > 0:
-            return Scalar(pzero())
         iv = VARIABLES.index(name)
         vn = Scalar._var_min(self.num, iv)
-        num = {k: c for k, c in self.num.items() if decode(k)[iv] == vn}
-        den = {k: c for k, c in self.den.items() if decode(k)[iv] == vn}
-        shift = key_var(name, vn)
-        num = {k - shift + KEY_ONE: c for k, c in num.items()}
-        den = {k - shift + KEY_ONE: c for k, c in den.items()}
+        vd = Scalar._var_min(self.den, iv)
+        if vn < vd:
+            raise LimitError(Fraction(vn - vd, 2))
+        if vn > vd:
+            return Scalar(pzero())
+        # keep the terms of lowest degree in the variable, divided by it
+        s, field = _FIELD_BITS * iv, vn + _BIAS
+        shift = key_var(name, vn) - KEY_ONE
+        num = {k - shift: c for k, c in self.num.items()
+               if (k >> s) & _MASK == field}
+        den = {k - shift: c for k, c in self.den.items()
+               if (k >> s) & _MASK == field}
         return Scalar(num, den)
 
     def a_valuation(self):

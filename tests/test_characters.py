@@ -38,6 +38,24 @@ def test_taut_character_examples():
     assert weight_set(V) == sorted(["1", "a"])
 
 
+def test_box_keys_match_the_weight_products():
+    # the keys built from the t1 and t2 steps are those of the monomials
+    # framing * t1^col * t2^row, in the same order
+    for lams, framing in (((3, 1),), (ONE,)), (((2, 2), (1,)), (HBAR, A)):
+        want = Character.from_weights(
+            fr * T1 ** c * T2 ** r
+            for lam, fr in zip(lams, framing) for (r, c) in boxes(lam))
+        got = taut_character(lams, framing)
+        assert list(got.weights.items()) == list(want.weights.items())
+    for lam in ((3, 1), (2, 2, 1)):
+        want = Character.from_weights(
+            w for (r, c) in boxes(lam)
+            for w in (T1 ** (arm(lam, r, c) + 1) * T2 ** -leg(lam, r, c),
+                      T1 ** -arm(lam, r, c) * T2 ** (leg(lam, r, c) + 1)))
+        assert list(tangent_hilb(lam).weights.items()) == list(
+            want.weights.items())
+
+
 def test_tangent_hilb_examples():
     assert weight_set(tangent_hilb((1,))) == sorted(["t1", "t2"])
     assert weight_set(tangent_hilb((2,))) == sorted(

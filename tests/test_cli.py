@@ -73,7 +73,8 @@ def test_verify_unknown_target_exit_two():
 
 
 def test_vertex_bound_error():
-    assert main(["vertex", "--n", "5"]) == EXIT_USAGE
+    n = hilbvertex.checks.VERTEX_N_MAX + 1
+    assert main(["vertex", "--n", str(n)]) == EXIT_USAGE
     assert main(["vertex", "--n", "1", "--zmax", "40"]) == EXIT_USAGE
 
 

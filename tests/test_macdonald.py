@@ -10,8 +10,10 @@ from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_hhl, fixed_point_decompose,
                                   localization_sum, euler_hilb, norm,
                                   star_weight, Q_MACD, T_MACD)
+from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
-from hilbvertex.checks import closed_F, check_kernel_identity
+from hilbvertex import checks
+from hilbvertex.checks import closed_F, closed_exponents, check_kernel_identity
 
 rng = random.Random(4242)
 
@@ -78,6 +80,21 @@ def test_corrupted_basis_fails_certification():
     # the identity check reads through pairings, which certify the basis
     with pytest.raises(ArithmeticError):
         check_kernel_identity(2, basis=basis)
+
+
+def test_exp_pairings_certify_the_basis_first():
+    basis = MacdonaldBasis()
+    basis.build_degree(2)
+    basis._H[2][(1, 1)] = basis._H[2][(2,)]
+    message = r"H_\(1, 1\) fails the t-axiom"
+    with pytest.raises(ArithmeticError, match=message):
+        basis.exp_pairings(checks.kernel_exponents(2), 2)
+    # an empty exponent dict pairs nothing, and still certifies
+    with pytest.raises(ArithmeticError, match=message):
+        basis.exp_pairings({}, 2)
+    for check in (checks.check_mellit, checks.check_osum):
+        with pytest.raises(ArithmeticError, match=message):
+            check(2, basis=basis)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -201,3 +218,51 @@ def test_decompose_localization_roundtrip_random():
 def test_degree_bound_guard():
     with pytest.raises(ValueError):
         MacdonaldBasis().build_degree(MAX_DEGREE + 1)
+
+
+def _stored(pairings):
+    return {lam: (p.num, p.den) for lam, p in pairings.items()}
+
+
+@pytest.mark.parametrize("name", ["kernel", "mellit", "osum"])
+def test_exp_pairings_equal_pairings_of_the_exponential(name):
+    # identical canonical num/den, not only equal values: the witnesses of
+    # the localization checks render them
+    c = getattr(checks, f"{name}_exponents")(5)
+    f = exp_linear(c, 5)
+    basis = MacdonaldBasis()
+    for n in range(6):
+        assert _stored(basis.exp_pairings(c, n)) == _stored(
+            basis.pairings(f, n))
+
+
+def test_exp_pairings_with_a_missing_exponent():
+    # as in exp_linear, a missing c_k is zero: every p_rho with a part k
+    # drops out
+    c = {k: v for k, v in checks.kernel_exponents(4).items() if k != 2}
+    f = exp_linear(c, 4)
+    basis = MacdonaldBasis()
+    for n in range(5):
+        assert _stored(basis.exp_pairings(c, n)) == _stored(
+            basis.pairings(f, n))
+
+
+def test_exp_pairings_of_the_closed_form():
+    basis = MacdonaldBasis()
+    for n in range(4):
+        nz = n * (n + 1) + 2
+        got = basis.exp_pairings(closed_exponents(n, nz), n,
+                                 one=Series.one(0, nz))
+        want = basis.pairings(closed_F(n, nz), n)
+        assert list(got) == list(want) == partitions(n)
+        for lam, p in want.items():
+            assert isinstance(got[lam], Series) and got[lam] == p
+
+
+def test_basis_holds_norms_and_euler_factors():
+    basis = MacdonaldBasis(orientation="arms_t2")
+    for lam in partitions(4):
+        assert basis.norm(lam) == norm(lam)
+        assert basis.euler(lam) == euler_hilb(lam, "arms_t2")
+        assert basis.norm(lam) is basis.norm(lam)
+        assert basis.euler(lam) is basis.euler(lam)

@@ -8,7 +8,7 @@ from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
                                pmul, pmul_int, pone, pconst, padd, psub,
-                               key_mul, bareiss_det, bareiss_solve,
+                               key_exp, key_mul, bareiss_det, bareiss_solve,
                                solve_poly_system, InconsistentSystemError)
 
 rng = random.Random(20240817)
@@ -94,6 +94,25 @@ def test_a_limit_examples():
     with pytest.raises(LimitError) as err:
         (ONE / A).a_limit()
     assert err.value.valuation == -1
+
+
+def test_limit_at_zero_in_other_variables():
+    # the lowest u-degree terms of num and den, divided by their u-power
+    x = (U * T1 + U ** 2) / (U * (ONE + T2) + U ** 3 * Q)
+    assert x.valuation("u") == 0
+    assert x.limit_at_zero("u") == T1 / (ONE + T2)
+    assert (U / (T1 + U)).limit_at_zero("u") == ZERO
+    # half-integer valuations come from the doubled exponents
+    with pytest.raises(LimitError) as err:
+        (T1 / (Scalar.sqrt_var("u") + U)).limit_at_zero("u")
+    assert err.value.valuation == Fraction(-1, 2)
+
+
+@given(st.lists(st.integers(-(1 << 19), (1 << 19) - 1), min_size=5,
+                max_size=5))
+def test_key_exp_reads_one_field(exps):
+    key = encode(tuple(exps))
+    assert [key_exp(key, i) for i in range(5)] == exps
 
 
 def test_a_limit_agrees_with_a_adic_constant_term():
