@@ -164,17 +164,18 @@ def _compare_by_degree(basis, eig, c, N):
     the H_lam coefficients agree: <exp, H_lam>_* / w_lam == eig(lam) /
     Euler(lam).  basis.exp_pairings certifies the basis and pairs the
     exponential through its exponents c_k, so the exponential is never
-    expanded.  The equality is tested as the cross-product.
+    expanded.  The equality is tested as p * (Euler(lam) / w_lam) ==
+    eig(lam), with the ratio held reduced on the basis.
     """
     for n in range(N + 1):
         for lam, p in basis.exp_pairings(c, n).items():
-            euler, w = basis.euler(lam), basis.norm(lam)
-            if p * euler != eig(lam) * w:
+            if p * basis.ratio(lam) != eig(lam):
                 return "mismatch", {
                     "degree": n,
                     "fixed_point": list(lam),
-                    "localization_side": (eig(lam) / euler).render(),
-                    "exponential_side": (p / w).render(),
+                    "localization_side": (eig(lam)
+                                          / basis.euler(lam)).render(),
+                    "exponential_side": (p / basis.norm(lam)).render(),
                 }
     return "exact-match", {"degrees_checked": N}
 
@@ -504,8 +505,7 @@ def capped_vertex_table(n, Nz=None, basis=None):
     entries = {}
     q_free = True
     for lam in partitions(n):
-        ratio = (basis.euler(lam) / basis.norm(lam)).reduced()
-        series = pairings[lam] * ratio
+        series = pairings[lam] * basis.ratio(lam)
         if n == 0:
             entries[lam] = ({0: series.coefficient(0, 0)}, {0: ONE})
             continue

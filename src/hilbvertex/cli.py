@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .scalar import ResourceLimitError, prender
+from .scalar import ResourceLimitError
 from . import checks as checks_mod
 from .checks import (run_check, calibrate, write_conventions,
                      load_conventions, capped_vertex_table, closed_F,
@@ -133,13 +133,13 @@ def _fock_payload(f):
     rows = []
     for mu in sorted(f.coeffs, key=lambda m: (sum(m), m)):
         c = f.coeffs[mu]
-        if hasattr(c, "coeffs"):  # z-series coefficient
-            for (iy, iz), v in sorted(c.coeffs.items()):
-                rows.append({"y": sum(mu), "z": iz, "p": list(mu),
-                             "num": prender(v.num), "den": prender(v.den)})
-        else:
-            rows.append({"y": sum(mu), "z": 0, "p": list(mu),
-                         "num": prender(c.num), "den": prender(c.den)})
+        # a z-series coefficient, or a Scalar at z^0
+        terms = sorted(c.coeffs.items()) if hasattr(c, "coeffs") else [
+            ((0, 0), c)]
+        for (_, iz), v in terms:
+            num, den = v.render_parts()
+            rows.append({"y": sum(mu), "z": iz, "p": list(mu),
+                         "num": num, "den": den})
     return rows
 
 

@@ -88,59 +88,59 @@ def z_mu(mu):
 
 
 def _clear_row(entries):
-    """Clear integer contents and monomial denominators of one equation.
+    """Clear the denominators of one equation.
 
-    Entries must be Scalars with monomial denominators; returns plain
-    polynomial dicts scaled by one common factor.
+    Entries must be Scalars with monomial denominators, which the stored
+    form keeps as positive integers; returns the numerators times the lcm
+    of those integers over each entry's own.
     """
     L = 1
-    maxexp = [0] * len(VARIABLES)
     for e in entries:
         if len(e.den) != 1:
             raise ArithmeticError("entry has a non-monomial denominator")
-        (kd, cd), = e.den.items()
-        L = L // gcd(L, cd) * cd
-        for i, x in enumerate(decode(kd)):
-            maxexp[i] = max(maxexp[i], x)
-    lkey = encode(tuple(maxexp))
-    out = []
-    for e in entries:
-        (kd, cd), = e.den.items()
-        shift = lkey - kd + KEY_ONE
-        out.append({k + shift - KEY_ONE: c * (L // cd)
-                    for k, c in e.num.items()})
-    return out
+        L = lcm(L, e.den[KEY_ONE])
+    return [pmul_int(e.num, L // e.den[KEY_ONE]) for e in entries]
 
 
 # ---------------------------------------------------------------------------
 # rational symmetric-function scaffolding (Fraction coefficients, p-basis)
 # ---------------------------------------------------------------------------
 
-def _expand_p_mu(mu, nvars):
-    """Expand p_mu as a polynomial in nvars variables: {exponent tuple: int}."""
-    poly = {(0,) * nvars: 1}
-    for k in mu:
-        new = {}
-        for exps, c in poly.items():
-            for i in range(nvars):
-                e2 = list(exps)
-                e2[i] += k
-                e2 = tuple(e2)
-                new[e2] = new.get(e2, 0) + c
-        poly = new
-    return poly
-
-
 def p_to_m_matrix(n):
-    """Integer matrix: p_mu = sum_lam M[mu][lam] m_lam over partitions of n."""
+    """Integer matrix: p_mu = sum_lam M[mu][lam] m_lam over partitions of n.
+
+    M[mu][lam] is the coefficient of x^lam in prod_i p_(mu_i): the number
+    of maps sending each part of mu to a row of lam so that the parts sent
+    to each row add up to its length.  It depends on the row lengths still
+    to fill only as a multiset, so the count recurses on the remaining
+    parts and the sorted remaining row lengths, with a memo.
+    """
+    memo = {}
+
+    def count(mu, rows):
+        if not mu:
+            return 1  # the parts add up to n, so every row is full
+        key = (mu, rows)
+        got = memo.get(key)
+        if got is None:
+            k, got = mu[0], 0
+            for v in set(rows):
+                if v >= k:
+                    rest = list(rows)
+                    rest.remove(v)
+                    if v > k:
+                        rest.append(v - k)
+                    got += rows.count(v) * count(
+                        mu[1:], tuple(sorted(rest, reverse=True)))
+            memo[key] = got
+        return got
+
     parts = partitions(n)
     out = {}
     for mu in parts:
-        poly = _expand_p_mu(mu, max(1, n))
         row = {}
         for lam in parts:
-            key = tuple(lam) + (0,) * (max(1, n) - len(lam))
-            c = poly.get(key, 0)
+            c = count(mu, lam)
             if c:
                 row[lam] = c
         out[mu] = row
@@ -205,21 +205,29 @@ def s_in_p(lam, _cache={}):
             return {(): Fraction(1)}
         return {mu: Fraction(1, z_mu(mu)) for mu in partitions(m)}  # h_m
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entry(rows[0], cols[0])
+    # the minor on the last len(cols) rows and the columns cols; a minor
+    # recurs under many expansions, so each is computed once
+    minors = {}
+
+    def det(cols):
+        if cols in minors:
+            return minors[cols]
+        row = ell - len(cols)
+        if len(cols) == 1:
+            return entry(row, cols[0])
         total = {}
         for pos, col in enumerate(cols):
-            e = entry(rows[0], col)
+            e = entry(row, col)
             if e is None:
                 continue
-            sub = det(rows[1:], cols[:pos] + cols[pos + 1:])
+            sub = det(cols[:pos] + cols[pos + 1:])
             if sub is None:
                 continue
             total = _p_add(total, _p_mult(e, sub), 1 if pos % 2 == 0 else -1)
+        minors[cols] = total
         return total
 
-    result = det(list(range(ell)), list(range(ell)))
+    result = det(tuple(range(ell)))
     _cache[lam] = result
     return result
 
@@ -576,6 +584,7 @@ class MacdonaldBasis:
         self._certified = set()
         self._norms = {}
         self._eulers = {}
+        self._ratios = {}
 
     def build_degree(self, n):
         if n > MAX_DEGREE:
@@ -633,6 +642,18 @@ class MacdonaldBasis:
         got = self._eulers.get(lam)
         if got is None:
             got = self._eulers[lam] = euler_hilb(lam, self.orientation)
+        return got
+
+    def ratio(self, lam):
+        """euler(lam) / norm(lam), reduced, computed once.
+
+        A pairing <f, H_lam>_* times this ratio is the restriction of f to
+        the fixed point lam.
+        """
+        got = self._ratios.get(lam)
+        if got is None:
+            got = self._ratios[lam] = (self.euler(lam)
+                                       / self.norm(lam)).reduced()
         return got
 
     def pairings(self, f, n):

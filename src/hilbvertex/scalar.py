@@ -3,16 +3,26 @@
 Every value is a fraction num/den of sparse Laurent polynomials over the
 integers in the five variables t1, t2, q, u, a.  Exponents are half-integers,
 stored internally as doubled integers, so quantities like hbar^(1/2) =
-(t1*t2)^(1/2) are exact.  Canonical form removes integer content and the
-common monomial factor and normalizes the sign of the leading denominator
-term under graded-lex order; full multivariate gcd reduction is deliberately
+(t1*t2)^(1/2) are exact.  Full multivariate gcd reduction is deliberately
 not performed.  Equality is decided by cross multiplication, which makes it
 exact without gcd.
 
+A fraction has two normal forms, both unique up to the choice of num/den
+among unit multiples (an integer times a monomial):
+- the stored form (`_canonicalize`, held by every Scalar): the largest
+  packed key of den is KEY_ONE, its coefficient is positive, and num and
+  den have integer content 1.  The largest key leads under a monomial order
+  (see `pdivexact`), so a product or a sum of stored Scalars is stored
+  again with no shift and no sign flip, and it costs one C-level max;
+- the printed form (`_printed`, used only by `Scalar.render` and
+  `Scalar.render_parts`): no monomial divides both num and den, and the
+  graded-lex leading coefficient of den is positive.  Printed text is
+  therefore independent of how a value is stored.
+
 Two denominators that agree up to a unit, b*d2 == a*m*d1 with a monomial m
 and integers a, b, are recognized in O(len) (`_unit_ratio`): a sum over them
-stays over the one denominator b*d2, without cross multiplication.
-`_canonicalize` is unchanged; a sum computed this way can be stored
+stays over the one denominator b*d2, without cross multiplication.  On
+stored denominators m is always 1.  A sum computed this way can be stored
 differently from the cross-multiplied sum, with an equal value.
 
 A polynomial is a plain dict {packed_key: int}.  A packed key holds the five
@@ -318,45 +328,55 @@ def prender(f, order="grlex"):
 # ---------------------------------------------------------------------------
 
 def _unit_ratio(d1, d2):
-    """(a, b, s) with b*d2 == a*m*d1, or None when no such unit exists.
+    """(a, b) with b*d2 == a*d1, or None when no such integers exist.
 
-    m is the monomial whose key is s + KEY_ONE, and a, b are coprime
-    integers with b > 0.  The largest key leads under a monomial order (see
-    `pdivexact`), so the only candidate is s = max(d2) - max(d1) with a/b
-    the ratio of the two leading coefficients; every term is then checked.
+    d1 and d2 are stored denominators, so both lead with KEY_ONE (see
+    `_canonicalize`) and the only monomial that can relate them is 1; a and
+    b are the coprime integers of the ratio of the two leading
+    coefficients, with b > 0, and every term is then checked.
     """
     if len(d1) != len(d2):
         return None
-    l1, l2 = max(d1), max(d2)
-    s = l2 - l1
-    c1, c2 = d1[l1], d2[l2]
+    c1, c2 = d1[KEY_ONE], d2[KEY_ONE]
     g = math.gcd(c1, c2)
-    if c1 < 0:
-        g = -g
     a, b = c2 // g, c1 // g
     get = d2.get
     for k, c in d1.items():
-        if get(k + s, 0) * b != a * c:
+        if get(k, 0) * b != a * c:
             return None
-    return a, b, s
+    return a, b
 
 
 def _canonicalize(num, den):
+    """Stored form: den leads with KEY_ONE, positively, and content is 1."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, pone()
+    lead = max(den)
+    if lead != KEY_ONE:
+        shift = KEY_ONE - lead
+        num = {k + shift: c for k, c in num.items()}
+        den = {k + shift: c for k, c in den.items()}
+    g = math.gcd(pcontent(num), pcontent(den))
+    if den[KEY_ONE] < 0:
+        g = -g
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den = {k: c // g for k, c in den.items()}
+    return num, den
+
+
+def _printed(num, den):
+    """Printed form of a stored fraction: no monomial divides both num and
+    den, and the graded-lex leading coefficient of den is positive."""
     mins = pmin_exps([*num, *den])
     if any(mins):
         shift = KEY_ONE - encode(mins)
         num = {k + shift: c for k, c in num.items()}
         den = {k + shift: c for k, c in den.items()}
-    g = math.gcd(pcontent(num), pcontent(den))
     if den[plead(den)] < 0:
-        g = -g
-    if g != 1:
-        num = {k: c // g for k, c in num.items()}
-        den = {k: c // g for k, c in den.items()}
+        num, den = pneg(num), pneg(den)
     return num, den
 
 
@@ -431,9 +451,8 @@ class Scalar:
             return Scalar(padd(self.num, other.num), dict(self.den))
         unit = _unit_ratio(self.den, other.den)
         if unit:
-            a, b, s = unit
-            num = padd({k + s: a * c for k, c in self.num.items()},
-                       pmul_int(other.num, b))
+            a, b = unit
+            num = padd(pmul_int(self.num, a), pmul_int(other.num, b))
             return Scalar(num, pmul_int(other.den, b))
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
         return Scalar(num, pmul(self.den, other.den))
@@ -506,6 +525,8 @@ class Scalar:
         """Replace every variable v by v^k; a ring homomorphism."""
         if k < 1:
             raise ValueError("adams index must be >= 1")
+        # scaling every exponent by k > 0 keeps the order of packed keys and
+        # fixes KEY_ONE, so the stored form needs no new normalization
         s = Scalar.__new__(Scalar)
         s.num = padams(self.num, k)
         s.den = padams(self.den, k)
@@ -608,12 +629,16 @@ class Scalar:
 
     # -- rendering -------------------------------------------------------------
 
+    def render_parts(self):
+        """Texts of the printed numerator and denominator."""
+        num, den = _printed(self.num, self.den)
+        return prender(num), prender(den)
+
     def render(self):
         if not self.num:
             return "0"
-        if self.den == pone():
-            return prender(self.num)
-        return f"({prender(self.num)}) / ({prender(self.den)})"
+        num, den = self.render_parts()
+        return num if den == "1" else f"({num}) / ({den})"
 
     def __repr__(self):
         return f"Scalar({self.render()})"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -147,6 +148,21 @@ def test_vertex_n1_denominator(tmp_path):
     den = data["entries"][0]["den"]
     assert den["0"] == "1"
     assert den["1"] == "(-t1*t2) / (q)"
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["vertex", "--n", "3"], EXIT_OK,
+     "b5e91ebd91f94bb6749e905be5adf780d3b859c0452c24e960df395315083d96"),
+    (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2"],
+     EXIT_MISMATCH,
+     "44533867de1fcb02309205aa0648fb927825341eb94e88077a26ee62028461fa"),
+])
+def test_printed_output_is_pinned(tmp_path, argv, code, digest):
+    # the printed text of a value must not follow its stored form: a change
+    # to how Scalars are stored leaves these files byte for byte the same
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_calibrate_idempotent(tmp_path):

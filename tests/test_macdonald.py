@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -9,7 +11,8 @@ from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,
                                   macd_H_hhl, fixed_point_decompose,
                                   localization_sum, euler_hilb, norm,
-                                  star_weight, Q_MACD, T_MACD)
+                                  star_weight, Q_MACD, T_MACD, p_to_m_matrix,
+                                  character_table, z_mu)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex import checks
@@ -266,3 +269,51 @@ def test_basis_holds_norms_and_euler_factors():
         assert basis.euler(lam) == euler_hilb(lam, "arms_t2")
         assert basis.norm(lam) is basis.norm(lam)
         assert basis.euler(lam) is basis.euler(lam)
+        assert basis.ratio(lam) == euler_hilb(lam, "arms_t2") / norm(lam)
+        assert basis.ratio(lam) is basis.ratio(lam)
+
+
+def _expand_p_mu(mu, nvars):
+    """p_mu as a polynomial in nvars variables: {exponent tuple: int}."""
+    poly = {(0,) * nvars: 1}
+    for k in mu:
+        new = {}
+        for exps, c in poly.items():
+            for i in range(nvars):
+                e = exps[:i] + (exps[i] + k,) + exps[i + 1:]
+                new[e] = new.get(e, 0) + c
+        poly = new
+    return poly
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_p_to_m_counts_match_the_expansion(n):
+    parts, M = p_to_m_matrix(n)
+    assert parts == partitions(n)
+    nv = max(1, n)
+    for mu in parts:
+        poly = _expand_p_mu(mu, nv)
+        want = {lam: poly[tuple(lam) + (0,) * (nv - len(lam))]
+                for lam in parts
+                if tuple(lam) + (0,) * (nv - len(lam)) in poly}
+        assert M[mu] == want
+
+
+def _hooks(lam):
+    conj = conjugate(lam)
+    return prod(lam[i] - j + conj[j] - i - 1
+                for i in range(len(lam)) for j in range(lam[i]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_character_table_is_orthonormal(n):
+    # chi from s_in_p: rows orthonormal under sum_rho chi chi' / z_rho, and
+    # chi^lam on the identity class is the hook-length count f^lam
+    chi = character_table(n)
+    parts = partitions(n)
+    for lam in parts:
+        assert chi[lam].get((1,) * n, 0) == factorial(n) // _hooks(lam)
+        for mu in parts:
+            dot = sum(Fraction(chi[lam].get(rho, 0) * chi[mu].get(rho, 0),
+                               z_mu(rho)) for rho in parts)
+            assert dot == (lam == mu)

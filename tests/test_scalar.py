@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
+                               _printed, prender,
                                pmul, pmul_int, pone, pconst, padd, psub,
                                key_exp, key_mul, bareiss_det, bareiss_solve,
                                solve_poly_system, InconsistentSystemError)
@@ -58,12 +60,21 @@ def test_division_by_zero_reported():
 def test_canonical_form_invariants():
     for _ in range(30):
         x = rand_nonzero() / rand_nonzero()
-        # denominator lead coefficient positive under graded-lex
-        assert x.den[plead(x.den)] > 0
-        # no common monomial factor remains
-        mins_n = pmin_exps(x.num)
-        mins_d = pmin_exps(x.den)
+        # stored form: the largest key of den is 1, with a positive
+        # coefficient, and the integer content is 1
+        assert max(x.den) == KEY_ONE
+        assert x.den[KEY_ONE] > 0
+        assert math.gcd(*x.num.values(), *x.den.values()) == 1
+        # printed form: the same value, content 1, den's graded-lex leading
+        # coefficient positive, and no common monomial factor
+        num, den = _printed(x.num, x.den)
+        assert Scalar(num, den) == x
+        assert math.gcd(*num.values(), *den.values()) == 1
+        assert den[plead(den)] > 0
+        mins_n = pmin_exps(num)
+        mins_d = pmin_exps(den)
         assert all(min(a, b) == 0 for a, b in zip(mins_n, mins_d))
+        assert x.render_parts() == (prender(num), prender(den))
 
 
 def test_adams_examples():
@@ -204,6 +215,29 @@ def test_sum_over_unit_multiple_denominators(n1, n2, d, m, a, b):
     # stored as x is, so equality needs no unit-ratio path of its own
     same = Scalar(pmul({m: a}, n1), pmul({m: a}, d))
     assert (same.num, same.den) == (x.num, x.den)
+
+
+def _printed_reference(num, den):
+    """The printed form by its definition, from any num/den."""
+    exps = [decode(k) for k in [*num, *den]]
+    shift = KEY_ONE - encode([min(e[i] for e in exps) for i in range(5)])
+    g = math.gcd(*num.values(), *den.values())
+    if den[max(den, key=_grlex)] < 0:
+        g = -g
+    return ({k + shift: c // g for k, c in num.items()},
+            {k + shift: c // g for k, c in den.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent.filter(bool), laurent.filter(bool), monomials, units)
+def test_unit_multiples_are_stored_and_printed_alike(n, d, m, c):
+    x = Scalar(n, d)
+    y = Scalar(pmul({m: c}, n), pmul({m: c}, d))
+    assert (y.num, y.den) == (x.num, x.den)
+    assert y.render() == x.render()
+    # printed text follows the value's printed form, not its stored form
+    pn, pd = _printed_reference(n, d)
+    assert y.render_parts() == (prender(pn), prender(pd))
 
 
 def test_sum_over_denominators_that_are_not_unit_multiples():
