@@ -156,6 +156,10 @@ def test_vertex_n1_denominator(tmp_path):
     (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2"],
      EXIT_MISMATCH,
      "44533867de1fcb02309205aa0648fb927825341eb94e88077a26ee62028461fa"),
+    (["series", "F", "--ymax", "5", "--zmax", "8"], EXIT_OK,
+     "8aecc6992f83d278d5574344e756513ebe50f913655c78dd21110e268f8e1e07"),
+    (["verify", "prop1", "prop4", "--n", "6"], EXIT_OK,
+     "bc14146223ff03ddd096d015dbd1c4b7bf75245145211ed36312ad03f33d4b89"),
 ])
 def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     # the printed text of a value must not follow its stored form: a change
