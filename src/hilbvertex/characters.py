@@ -17,7 +17,7 @@ checks.calibrate):
 
 from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, NVARS, VARIABLES,
                      decode, encode, key_exp, key_var, key_mul, key_inv,
-                     padd, pmul, pone)
+                     pmul, pone)
 
 _A_INDEX = VARIABLES.index("a")
 # key steps of the weights t1 and t2: t1^i t2^j is KEY_ONE + i*_DT1 + j*_DT2
@@ -369,14 +369,20 @@ def chern_eigen(lams, framing, k, dual=False):
     weights = taut_character(lams, framing).weights
     if any(m < 0 for m in weights.values()):
         raise ValueError("character is not effective")
-    # elementary symmetric polynomials by sequential convolution on keys
-    e = [pone()] + [{}] * k
-    for w, m in weights.items():
-        shift = (key_inv(w) if dual else w) - KEY_ONE
-        for _ in range(m):
-            for j in range(k, 0, -1):
-                e[j] = padd(e[j], {key + shift: c
-                                   for key, c in e[j - 1].items()})
+    # elementary symmetric polynomials by sequential convolution on keys, in
+    # place: every coefficient is positive, so nothing cancels.  After i of
+    # the nb box weights only e_j with j <= i is nonzero, and only e_j with
+    # j >= k - (nb - i) can still reach e_k.
+    shifts = [(key_inv(w) if dual else w) - KEY_ONE
+              for w, m in weights.items() for _ in range(m)]
+    nb = len(shifts)
+    e = [pone()] + [{} for _ in range(k)]
+    for i, shift in enumerate(shifts, 1):
+        for j in range(min(k, i), max(1, k - nb + i) - 1, -1):
+            acc, get = e[j], e[j].get
+            for key, c in e[j - 1].items():
+                key += shift
+                acc[key] = get(key, 0) + c
     return Scalar(e[k])
 
 

@@ -14,7 +14,7 @@ multiplication by -p_|k| / d_|k| for k < 0 where
 d_k = (t1^(k/2) - t1^(-k/2)) (t2^(k/2) - t2^(-k/2)).
 """
 
-from math import comb, factorial
+from math import comb
 
 from .scalar import Scalar, ZERO, ONE, HBAR
 from .series import Series
@@ -207,26 +207,34 @@ def exp_linear(c, N, one=None):
     """exp(sum_k c_k p_k) truncated at total degree N.
 
     `c` maps part sizes k to coefficients; the p_mu coefficient of the result
-    is prod_k c_k^{m_k} / m_k! over the multiplicities of mu.
+    is prod_k c_k^{m_k} / m_k! over the multiplicities of mu.  Each
+    c_k^m / m! with m > 1 is built once per call, from the one below it, as
+    (c_k^{m-1} / (m-1)!) * c_k * (1/m).
     """
     if one is None:
         sample = next(iter(c.values()), None)
         one = (Series.one(*sample.bounds()) if isinstance(sample, Series)
                else ONE)
+    powers = {}
+
+    def power(k, m):
+        p = powers.get((k, m))
+        if p is None:
+            p = c[k] if m == 1 else \
+                power(k, m - 1) * c[k] * Scalar.fraction(1, m)
+            powers[k, m] = p
+        return p
+
     out = {}
     for n in range(N + 1):
         for mu in _partitions_cached(n):
-            val = None
-            ok = True
-            for k, m in _mults(mu).items():
-                ck = c.get(k)
-                if ck is None:
-                    ok = False
-                    break
-                f = (ck ** m) * Scalar.fraction(1, factorial(m))
-                val = f if val is None else val * f
-            if not ok:
+            mults = _mults(mu)
+            if any(c.get(k) is None for k in mults):
                 continue
+            val = None
+            for k, m in mults.items():
+                f = power(k, m)
+                val = f if val is None else val * f
             out[mu] = one if val is None else val
     return FockElement(out, N)
 

@@ -27,7 +27,10 @@ differently from the cross-multiplied sum, with an equal value.
 
 A polynomial is a plain dict {packed_key: int}.  A packed key holds the five
 doubled exponents in 20-bit biased fields of one Python int, so monomial
-multiplication is a single integer addition.
+multiplication is a single integer addition.  Most products in the checks
+have a one-term operand; `pmul` forms those as one shift of the other
+operand's keys, with no accumulator.  `prender` decodes each key once per
+process and keeps its graded-lex rank and text in a memo.
 """
 
 import math
@@ -140,6 +143,11 @@ def psub(f, g):
 
 
 def pmul(f, g):
+    """Product of two polynomials, always a new dict.
+
+    A one-term operand c*m shifts every key of the other by m and scales it
+    by c; nonzero times nonzero is nonzero, so nothing is filtered.
+    """
     if not f or not g:
         return {}
     if len(f) > len(g):
@@ -147,6 +155,12 @@ def pmul(f, g):
     if len(f) * len(g) > 8 * MAX_TERMS:
         raise ResourceLimitError(
             f"polynomial product of {len(f)} x {len(g)} terms exceeds budget")
+    if len(f) == 1:
+        (kf, cf), = f.items()
+        if kf == KEY_ONE and cf == 1:
+            return dict(g)
+        base = kf - KEY_ONE
+        return {base + k: cf * c for k, c in g.items()}
     out = {}
     get = out.get
     for kf, cf in f.items():
@@ -289,25 +303,39 @@ def pdivexact(f, g):
     return quot
 
 
-def prender(f, order="grlex"):
-    """Deterministic text form, doubled exponents rendered as halves."""
+# packed key -> (graded-lex rank, monomial text); filled by `prender`
+_MONOMIALS = {}
+
+
+def _monomial(key):
+    rank = _grlex(key)
+    factors = []
+    for name, e in zip(VARIABLES, rank[1]):
+        if e == 0:
+            continue
+        if e % 2 == 0:
+            p = e // 2
+            factors.append(name if p == 1 else f"{name}^{p}")
+        else:
+            factors.append(f"{name}^({e}/2)")
+    entry = _MONOMIALS[key] = (rank, "*".join(factors))
+    return entry
+
+
+def prender(f):
+    """Deterministic text form, doubled exponents rendered as halves.
+
+    Terms are printed in decreasing graded-lex order.  Each key's rank and
+    monomial text come from the memo `_MONOMIALS`, so a key is decoded once
+    per process, however often it is printed.
+    """
     if not f:
         return "0"
-    keys = sorted(f, key=_grlex, reverse=True)
+    memo = _MONOMIALS
+    entries = [(memo.get(k) or _monomial(k), c) for k, c in f.items()]
+    entries.sort(key=lambda entry: entry[0][0], reverse=True)
     parts = []
-    for k in keys:
-        c = f[k]
-        exps = decode(k)
-        factors = []
-        for name, e in zip(VARIABLES, exps):
-            if e == 0:
-                continue
-            if e % 2 == 0:
-                p = e // 2
-                factors.append(name if p == 1 else f"{name}^{p}")
-            else:
-                factors.append(f"{name}^({e}/2)")
-        mono = "*".join(factors)
+    for (_, mono), c in entries:
         if not mono:
             term = str(abs(c))
         elif abs(c) == 1:
@@ -358,7 +386,9 @@ def _canonicalize(num, den):
         shift = KEY_ONE - lead
         num = {k + shift: c for k, c in num.items()}
         den = {k + shift: c for k, c in den.items()}
-    g = math.gcd(pcontent(num), pcontent(den))
+    g = pcontent(den)
+    if g != 1:
+        g = math.gcd(pcontent(num), g)
     if den[KEY_ONE] < 0:
         g = -g
     if g != 1:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -165,6 +166,27 @@ def test_chern_matches_scalar_convolution():
                 for dual in (False, True):
                     assert chern_eigen(lams, framing, k, dual) == \
                         _chern_by_scalar_convolution(lams, framing, k, dual)
+
+
+def test_chern_matches_the_elementary_symmetric_sum():
+    # e_k summed over k-subsets of the box weights, one diagram or two
+    for n in range(6):
+        cases = [((lam,), (ONE,)) for lam in partitions(n)]
+        cases += [(pair, (ONE, A)) for pair in fixed_points_rank2(n)]
+        for lams, framing in cases:
+            ws = [Scalar({key: 1}) for key, m in
+                  taut_character(lams, framing).weights.items()
+                  for _ in range(m)]
+            for dual in (False, True):
+                xs = [w.inverse() for w in ws] if dual else ws
+                for k in range(n + 1):
+                    want = ZERO
+                    for subset in itertools.combinations(xs, k):
+                        term = ONE
+                        for x in subset:
+                            term = term * x
+                        want = want + term
+                    assert chern_eigen(lams, framing, k, dual) == want
 
 
 def test_delta_trivial():

@@ -1,10 +1,13 @@
 import random
+from math import factorial
 
 import pytest
 
 from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, U, HBAR
 from hilbvertex.series import Series
 from hilbvertex.characters import partitions
+from hilbvertex.checks import (kernel_exponents, mellit_exponents,
+                              closed_exponents)
 from hilbvertex.fock import (FockElement, TensorFockElement, HeisenbergIndex,
                              heis, heis_denominator, heis_level, exp_linear,
                              pexp, fock_exp, fock_log, tensor_exp,
@@ -89,6 +92,42 @@ def test_exp_linear_kernel_coefficient():
     c1 = Scalar.monomial(t1=4, t2=4) / ((ONE - T1 ** 2) * (ONE - T2 ** 2))
     e = exp_linear({1: c1}, 1)
     assert e.coefficient((1,)) == c1
+
+
+def _exp_linear_by_powers(c, N, one):
+    """exp_linear with each c_k^m / m! formed as ck ** m * (1/m!)."""
+    out = {}
+    for n in range(N + 1):
+        for mu in partitions(n):
+            mults = {k: mu.count(k) for k in mu}
+            if any(k not in c for k in mults):
+                continue
+            val = None
+            for k, m in mults.items():
+                f = c[k] ** m * Scalar.fraction(1, factorial(m))
+                val = f if val is None else val * f
+            out[mu] = one if val is None else val
+    return FockElement(out, N)
+
+
+def _stored(v):
+    if isinstance(v, Series):
+        return v.bounds(), {k: _stored(s) for k, s in v.coeffs.items()}
+    return v.num, v.den
+
+
+@pytest.mark.parametrize("c, N, one", [
+    (kernel_exponents(5), 5, ONE),
+    (mellit_exponents(5), 5, ONE),
+    ({1: T1, 3: U / (ONE - T2), 4: -T2 ** 3}, 5, ONE),
+    (closed_exponents(3, 4), 3, Series.one(0, 4)),
+    (closed_exponents(5, 8), 5, Series.one(0, 8)),
+], ids=["kernel", "mellit", "no_c2", "closed_3_4", "closed_5_8"])
+def test_exp_linear_is_stored_as_by_powers(c, N, one):
+    got, want = exp_linear(c, N, one), _exp_linear_by_powers(c, N, one)
+    assert got.N == want.N and got.coeffs.keys() == want.coeffs.keys()
+    for mu, v in want.coeffs.items():
+        assert _stored(got.coeffs[mu]) == _stored(v)
 
 
 def test_pexp_examples():

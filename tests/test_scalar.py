@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
-                               _printed, prender,
+                               _printed, prender, _MONOMIALS, VARIABLES,
                                pmul, pmul_int, pone, pconst, padd, psub,
                                key_exp, key_mul, bareiss_det, bareiss_solve,
                                solve_poly_system, InconsistentSystemError)
@@ -348,6 +348,62 @@ def test_packed_key_extrema_match_decoded_definitions(keys):
     assert pmin_exps(f) == mins
     assert pexp_box(f) == (mins, maxs)
     assert plead(f) == max(f, key=_grlex)
+
+
+def _pmul_reference(f, g):
+    """The general double loop of pmul, with its zero filter."""
+    out = {}
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            k = kf + kg - KEY_ONE
+            out[k] = out.get(k, 0) + cf * cg
+    return {k: c for k, c in out.items() if c}
+
+
+one_terms = st.builds(lambda k, c: {k: c},
+                      st.one_of(st.just(KEY_ONE), monomials),
+                      st.one_of(st.sampled_from([1, -1]), units))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_terms, laurent, st.booleans())
+def test_pmul_by_one_term_matches_the_double_loop(m, f, m_first):
+    a, b = (m, f) if m_first else (f, m)
+    out = pmul(a, b)
+    assert out == _pmul_reference(a, b)
+    assert out is not a and out is not b
+
+
+def _prender_reference(f):
+    """Text form with each key decoded to sort it and again to print it."""
+    if not f:
+        return "0"
+    parts = []
+    for k in sorted(f, key=_grlex, reverse=True):
+        c = f[k]
+        factors = []
+        for name, e in zip(VARIABLES, decode(k)):
+            if e % 2:
+                factors.append(f"{name}^({e}/2)")
+            elif e:
+                factors.append(name if e == 2 else f"{name}^{e // 2}")
+        mono = "*".join(factors)
+        term = (mono if abs(c) == 1 else f"{abs(c)}*{mono}") if mono \
+            else str(abs(c))
+        parts.append(("-" if c < 0 else "+", term))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(f" {sign} {term}" for sign, term in parts[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.one_of(st.just(KEY_ONE), five_field_keys),
+                       st.one_of(st.sampled_from([1, -1]), units),
+                       max_size=6))
+def test_prender_is_the_same_with_a_cold_and_a_warm_memo(f):
+    _MONOMIALS.clear()
+    cold = prender(f)
+    assert set(_MONOMIALS) == set(f)
+    assert prender(f) == cold == _prender_reference(f)
 
 
 def laplace_det(matrix):
