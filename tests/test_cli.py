@@ -151,8 +151,16 @@ def test_vertex_n1_denominator(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, digest", [
+    (["vertex", "--n", "1"], EXIT_OK,
+     "046027eba883b51380f5d30899647250da516d5db7355d69965b6b15a909b761"),
+    (["vertex", "--n", "2"], EXIT_OK,
+     "f4901dce10849c2aa67c6ddebca65571347b3c5f0ecf202b04f1d6d960d49fe9"),
     (["vertex", "--n", "3"], EXIT_OK,
      "b5e91ebd91f94bb6749e905be5adf780d3b859c0452c24e960df395315083d96"),
+    (["vertex", "--n", "4"], EXIT_OK,
+     "cc057cd3e0dba5059f336ff99a57062311f9c10820c8b69213fe78183058b132"),
+    (["vertex", "--n", "5"], EXIT_OK,
+     "7d5ccaf7a8733dfcbbf7406fc7daadc37702b45c4b26b7e77fc8cab964607be9"),
     (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2"],
      EXIT_MISMATCH,
      "44533867de1fcb02309205aa0648fb927825341eb94e88077a26ee62028461fa"),
