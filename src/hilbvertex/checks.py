@@ -21,15 +21,16 @@ witness is the one the expansions would give.
 
 import json
 import time
+from functools import reduce
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                      LimitError, VARIABLES, key_exp, pmul)
-from .series import Series, rational_reconstruct, ReconstructionError
+from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import MacdonaldBasis, MAX_DEGREE, default_basis
+from .macdonald import MacdonaldBasis, MAX_DEGREE, default_basis, star_weight
 
 _Q_INDEX = VARIABLES.index("q")
 
@@ -38,7 +39,7 @@ DEFAULT_Z_ORDER = 6
 HARD_Y_BOUND = MAX_DEGREE
 HARD_Z_BOUND = 12
 # largest degree of a capped vertex table (vertex --n, verify rationality --n)
-VERTEX_N_MAX = 5
+VERTEX_N_MAX = 6
 
 # frozen by cmd_calibrate; every entry is re-derivable from the checks below
 DEFAULT_CONVENTIONS = {
@@ -241,14 +242,18 @@ def closed_exponents(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
     """
     c = {}
     for k in range(1, Ny + 1):
-        den = _coeff_den(k)
-        const = Series.const(_hbar2k(k) * (ONE - U ** k) / den, 0, Nz)
+        const, zfac = _closed_exponent_parts(k)
         inner = Series.term((HBAR / Q) ** k, 0, k, 0, Nz)
-        zfac = Series.term(
-            _hbar2k(k) * Q ** (-k) * (HBAR ** k - HBAR ** (-k)) / den,
-            0, k, 0, Nz)
-        c[k] = const + zfac * inner.geom()
+        c[k] = (Series.const(const, 0, Nz)
+                + Series.term(zfac, 0, k, 0, Nz) * inner.geom())
     return c
+
+
+def _closed_exponent_parts(k):
+    """(A_k, B_k) with c_k = A_k + B_k z^k / (1 - (z hbar/q)^k), exactly."""
+    den = _coeff_den(k)
+    return (_hbar2k(k) * (ONE - U ** k) / den,
+            _hbar2k(k) * Q ** (-k) * (HBAR ** k - HBAR ** (-k)) / den)
 
 
 def closed_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
@@ -408,7 +413,12 @@ def check_main(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
 # ---------------------------------------------------------------------------
 
 class CappedVertexTable:
-    """Per-fixed-point rational functions in z for one Fock degree."""
+    """Per-fixed-point rational functions in z for one Fock degree.
+
+    Every entry is exact: num / den with den = candidate_denominator(n), no
+    truncation in z.  certified_order is the z-order through which the bench
+    oracle and the tests re-expand the table against the closed form.
+    """
 
     def __init__(self, n, entries, certified_order, q_free):
         self.n = n
@@ -442,17 +452,54 @@ class CappedVertexTable:
         return out
 
 
+def _w_product(n):
+    """D_n(w) = prod_{k<=n} (1 - w^k) as integer coefficients in w."""
+    p = [1]
+    for k in range(1, n + 1):
+        p = p + [0] * k
+        for j in range(len(p) - 1, k - 1, -1):
+            p[j] -= p[j - k]
+    return p
+
+
+def _cofactor(n, rho):
+    """D_n(w) / prod_{k in rho} (1 - w^k) as integer coefficients in w.
+
+    Raises ArithmeticError when a factor 1 - w^k leaves a remainder.
+    """
+    p = _w_product(n)
+    for k in rho:
+        # the power series p / (1 - w^k) has q[j] = p[j] + q[j - k], and it
+        # is a polynomial exactly when its last k coefficients vanish
+        q = list(p)
+        for j in range(k, len(q)):
+            q[j] += q[j - k]
+        if any(q[-k:]):
+            raise ArithmeticError(f"1 - w^{k} leaves a remainder in D_{n} "
+                                  f"/ prod over {rho}")
+        p = q[:-k]
+    return p
+
+
+def _in_z(poly):
+    """An integer polynomial in w = z hbar / q as a z-polynomial."""
+    return {j: Scalar.monomial(c, t1=2 * j, t2=2 * j, q=-2 * j)
+            for j, c in enumerate(poly) if c}
+
+
+def _zmul(f, g):
+    """Product of two z-polynomials {deg: Scalar}."""
+    out = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            d = d1 + d2
+            out[d] = c1 * c2 + out[d] if d in out else c1 * c2
+    return {d: c for d, c in out.items() if c}
+
+
 def candidate_denominator(n):
     """prod_{k<=n} (1 - (z hbar/q)^k) as a z-polynomial {deg: Scalar}."""
-    den = {0: ONE}
-    for k in range(1, n + 1):
-        fac = {0: ONE, k: -((HBAR / Q) ** k)}
-        new = {}
-        for d1, c1 in den.items():
-            for d2, c2 in fac.items():
-                new[d1 + d2] = new.get(d1 + d2, ZERO) + c1 * c2
-        den = {d: c for d, c in new.items() if not c.is_zero()}
-    return den
+    return _in_z(_w_product(n))
 
 
 def _zpoly_sub_w(poly):
@@ -478,17 +525,26 @@ def is_q_free(x):
 
 
 def capped_vertex_table(n, Nz=None, basis=None):
-    """Reconstruct the degree-n fixed-point restrictions as rational functions.
+    """The degree-n fixed-point restrictions of the closed form, exactly in z.
 
-    Pairs the y^n slice of the closed form with every H_lam under the
-    *-scalar product, through its exponents (basis.exp_pairings): the closed
-    form is never expanded.  The fixed-point restriction is the H_lam
-    coefficient times the calibrated Euler factor, that is the pairing
-    times the ratio Euler(lam) / w_lam, which reduces to a monomial; so every
-    z-coefficient is a Laurent polynomial.  Each z-series is reconstructed
-    with numerator and denominator budgets B = sum_{k<=n} k and certified by
-    re-expansion through all computed orders, and the q-independence of the
-    shifted-variable form is checked exactly.
+    The restriction at lam is the pairing <F_n, H_lam>_* of the y^n slice of
+    closed_F times basis.ratio(lam), a monomial.  By the Cauchy identity (see
+    MacdonaldBasis.exp_pairings) the pairing is sum_rho H_lam,rho g_rho, with
+    g_rho = prod_{k in rho} g_k and g_k = star_weight((k,)) c_k.  Each c_k is
+    A_k + B_k z^k / (1 - w^k), w = z hbar / q, so g_k = N_k / (1 - w^k) with
+    the two-term z-polynomial N_k = a_k + (b_k - a_k (hbar/q)^k) z^k, where
+    a_k and b_k are star_weight((k,)) A_k and B_k, reduced.  Every
+    prod_{k in rho} (1 - w^k) divides D_n = candidate_denominator(n), so the
+    entry is
+
+        ratio(lam) sum_rho H_lam,rho N_rho cof_rho / D_n,
+        cof_rho = D_n / prod_{k in rho} (1 - w^k),
+
+    with no truncation in z; the numerator has degree at most B = n(n+1)/2,
+    the degree of D_n.  The q-independence of the shifted-variable form is
+    checked exactly.  `Nz` (2B + 2 by default, and no less) becomes the
+    table's certified_order: the z-order through which the bench oracle and
+    the tests re-expand it against the closed form.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
@@ -499,21 +555,24 @@ def capped_vertex_table(n, Nz=None, basis=None):
     if Nz < 2 * B + 2:
         raise ValueError(f"need z-order at least {2 * B + 2}")
     basis = basis or default_basis()
-    pairings = basis.exp_pairings(closed_exponents(n, Nz), n,
-                                  one=Series.one(0, Nz))
-    cand = candidate_denominator(n)
+    basis.certify(n)
+    N = {}
+    for k in range(1, n + 1):
+        weight = star_weight((k,))
+        a, b = ((weight * x).reduced() for x in _closed_exponent_parts(k))
+        N[k] = {0: a, k: b - a * (HBAR / Q) ** k}
+    terms = {rho: reduce(_zmul, (N[k] for k in rho), _in_z(_cofactor(n, rho)))
+             for rho in partitions(n)}
+    den = candidate_denominator(n)
     entries = {}
     q_free = True
     for lam in partitions(n):
-        series = pairings[lam] * basis.ratio(lam)
-        if n == 0:
-            entries[lam] = ({0: series.coefficient(0, 0)}, {0: ONE})
-            continue
-        try:
-            num, den = rational_reconstruct(series, B, B,
-                                            candidate_dens=[cand])
-        except ReconstructionError as e:
-            raise ReconstructionError(f"fixed point {lam}: {e}") from e
+        num = {}
+        for rho, h in basis.H(lam).coeffs.items():
+            for d, c in terms[rho].items():
+                num[d] = c * h + num[d] if d in num else c * h
+        ratio = basis.ratio(lam)
+        num = {d: c * ratio for d, c in num.items() if c}
         entries[lam] = (num, den)
         q_free = q_free and all(is_q_free(c) for part in (num, den)
                                 for c in _zpoly_sub_w(part).values())
@@ -651,7 +710,8 @@ def check_prop1(n):
 def check_prop4(n, k):
     """lim_{a->0} c_k eigenvalue on M(n,2) equals the first-component value."""
     def run():
-        for (l1, l2) in fixed_points_rank2(n):
+        points = fixed_points_rank2(n)
+        for (l1, l2) in points:
             val = chern_eigen((l1, l2), (ONE, A), k).a_limit()
             want = chern_eigen((l1,), (ONE,), k) if k <= size(l1) else ZERO
             if val != want:
@@ -659,7 +719,7 @@ def check_prop4(n, k):
                                     "k": k, "limit": val.render(),
                                     "expected": want.render()}
         return "exact-match", {"n": n, "k": k,
-                               "fixed_points": len(fixed_points_rank2(n))}
+                               "fixed_points": len(points)}
     return _timed("chern_limit", {"n": n, "k": k}, run)
 
 

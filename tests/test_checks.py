@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
-from hilbvertex.series import Series
+from hilbvertex.series import Series, rational_reconstruct
 from hilbvertex.characters import partitions
 from hilbvertex.fock import (JJ0_READINGS, FockElement, tensor_exp,
                              jj0_substitute, project_second, pexp)
@@ -261,6 +261,56 @@ def test_candidate_denominator_structure():
         prod = new
     for deg, c in prod.items():
         assert d.get(deg, ZERO) == c
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_vertex_table_equals_the_series_route(n):
+    # the route the tables took before they were computed exactly in z:
+    # pair the truncated z-series, then reconstruct over the candidate
+    basis = MacdonaldBasis()
+    B = n * (n + 1) // 2
+    Nz = 2 * B + 2
+    pairings = basis.exp_pairings(checks.closed_exponents(n, Nz), n,
+                                  one=Series.one(0, Nz))
+    cand = candidate_denominator(n)
+    table = capped_vertex_table(n, basis=basis)
+    assert table.certified_order == Nz and table.q_free
+    for lam in partitions(n):
+        series = pairings[lam] * basis.ratio(lam)
+        if n == 0:
+            want = ({0: series.coefficient(0, 0)}, {0: ONE})
+        else:
+            want = rational_reconstruct(series, B, B, candidate_dens=[cand])
+        for got_part, want_part in zip(table.entries[lam], want):
+            assert sorted(got_part) == sorted(want_part)
+            for d, c in want_part.items():
+                assert got_part[d] == c
+                assert got_part[d].render() == c.render()
+
+
+def _times_one_minus_wk(p, k):
+    return [c - (p[j - k] if j >= k else 0)
+            for j, c in enumerate(p + [0] * k)]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_cofactor_times_its_factors_is_the_candidate(n):
+    whole = [1]
+    for k in range(1, n + 1):
+        whole = _times_one_minus_wk(whole, k)
+    assert checks._in_z(whole) == candidate_denominator(n)
+    for rho in partitions(n):
+        p = checks._cofactor(n, rho)
+        for k in rho:
+            p = _times_one_minus_wk(p, k)
+        assert p == whole
+
+
+def test_cofactor_of_a_non_factor_raises():
+    # D_2 = (1 - w)^2 (1 + w): neither (1 - w)^3 nor 1 - w^3 divides it
+    for rho in ((1, 1, 1), (3,), (2, 2)):
+        with pytest.raises(ArithmeticError):
+            checks._cofactor(2, rho)
 
 
 def test_rationality_small():

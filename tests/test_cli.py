@@ -161,6 +161,8 @@ def test_vertex_n1_denominator(tmp_path):
      "cc057cd3e0dba5059f336ff99a57062311f9c10820c8b69213fe78183058b132"),
     (["vertex", "--n", "5"], EXIT_OK,
      "7d5ccaf7a8733dfcbbf7406fc7daadc37702b45c4b26b7e77fc8cab964607be9"),
+    (["vertex", "--n", "6"], EXIT_OK,
+     "f5c4c9a606adcbcbf2f43d78cb588f4ef7a512608ab848906ceddc540cb42e17"),
     (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2"],
      EXIT_MISMATCH,
      "44533867de1fcb02309205aa0648fb927825341eb94e88077a26ee62028461fa"),
