@@ -170,6 +170,18 @@ def test_vertex_n1_denominator(tmp_path):
      "7d5ccaf7a8733dfcbbf7406fc7daadc37702b45c4b26b7e77fc8cab964607be9"),
     (["vertex", "--n", "6"], EXIT_OK,
      "f5c4c9a606adcbcbf2f43d78cb588f4ef7a512608ab848906ceddc540cb42e17"),
+    (["verify"], EXIT_OK,
+     "a7f9127232e2c1b2294c36eaf88dc4d5e74c93ecb42156aabf596e838ca94a50"),
+    (["verify", "--format", "csv"], EXIT_OK,
+     "46172bb1de4af12317beed9fcb48fc8cf77a138817bd1882320f106dafcf5356"),
+    (["verify", "--format", "text"], EXIT_OK,
+     "d18fee12e75af0b3abb90a6558e004cdfbde6b4db70fd897e7019c7a37e80295"),
+    (["verify", "main", "ook", "--ymax", "5", "--zmax", "8"], EXIT_OK,
+     "180f7a4cd8cc787e71bcee2ba28a8da0836a9d4b3156f0286d3fb201f77e5797"),
+    (["verify", "rationality", "--n", "4"], EXIT_OK,
+     "e33e647c4a03737e38801aed87f0d85623bcf7c96a88800227eb30f3e3d2da08"),
+    (["verify", "prop4", "--n", "2"], EXIT_OK,
+     "d51ed21a968810abe5b0761d5ae5c3629567b86e93dba673c9b7c6cec68ec94a"),
 ])
 def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     # the printed text of a value must not follow its stored form: a change
