@@ -93,9 +93,8 @@ def fixed_points_rank2(n):
     """Partition pairs (lam1, lam2) with |lam1|+|lam2| = n, deterministic order."""
     out = []
     for n1 in range(n, -1, -1):
-        for lam1 in partitions(n1):
-            for lam2 in partitions(n - n1):
-                out.append((lam1, lam2))
+        second = partitions(n - n1)
+        out += [(lam1, lam2) for lam1 in partitions(n1) for lam2 in second]
     return out
 
 

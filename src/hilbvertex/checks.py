@@ -1,14 +1,16 @@
 """Executable verification of the generating-function identities.
 
-Every check returns a VerificationReport whose pass outcome means the
-re-expanded difference is identically zero through the stated orders (exact
-arithmetic, tolerance zero).  A mismatch always carries a concrete monomial
-witness.  The resolved-convention record travels with every report so runs
-are auditable: tangent orientation, Euler convention, the structure-sheaf
-sign transport, the validated limit normalization, and the argument
-shift/reading that reconciles the derived and closed generating functions.
-The derived side is computed on one Fock factor; the tensor-square route of
-fock.py is its reference.
+Every check returns a VerificationReport (exact arithmetic, tolerance zero).
+For the series identities a pass means the re-expanded difference is
+identically zero through the stated orders.  The capped vertex tables behind
+the rationality check are exact rational functions of z, with no
+truncation; its orders name the degrees n.  A mismatch always carries a
+concrete witness.  The resolved-convention record travels with every report
+so runs are auditable: tangent orientation, Euler convention, the
+structure-sheaf sign transport, the validated limit normalization, and the
+argument shift/reading that reconciles the derived and closed generating
+functions.  The derived side is computed on one Fock factor; the
+tensor-square route of fock.py is its reference.
 
 The fusion identities (check_main, check_ook) compare exponentials
 exp(sum_k c_k p_k) of forms linear in the p_k.  They are decided on the
@@ -21,6 +23,7 @@ witness is the one the expansions would give.
 
 import json
 import time
+from collections import namedtuple
 from functools import reduce
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
@@ -416,14 +419,16 @@ class CappedVertexTable:
     """Per-fixed-point rational functions in z for one Fock degree.
 
     Every entry is exact: num / den with den = candidate_denominator(n), no
-    truncation in z.  certified_order is the z-order through which the bench
-    oracle and the tests re-expand the table against the closed form.
+    truncation in z, and num and den of degree at most B = n(n+1)/2.
+    certified_order = 2B + 2 is the z-order through which the bench oracle
+    and the tests re-expand the table against the closed form: enough
+    coefficients to fix a ratio of two polynomials of degree B.
     """
 
-    def __init__(self, n, entries, certified_order, q_free):
+    def __init__(self, n, entries, q_free):
         self.n = n
         self.entries = entries  # lam -> (num {deg: Scalar}, den {deg: Scalar})
-        self.certified_order = certified_order
+        self.certified_order = n * (n + 1) + 2
         self.q_free = q_free
 
     def to_dict(self):
@@ -524,7 +529,7 @@ def is_q_free(x):
             == pmul(x.num, _q_euler(x.den)))
 
 
-def capped_vertex_table(n, Nz=None, basis=None):
+def capped_vertex_table(n, basis=None):
     """The degree-n fixed-point restrictions of the closed form, exactly in z.
 
     The restriction at lam is the pairing <F_n, H_lam>_* of the y^n slice of
@@ -542,18 +547,11 @@ def capped_vertex_table(n, Nz=None, basis=None):
 
     with no truncation in z; the numerator has degree at most B = n(n+1)/2,
     the degree of D_n.  The q-independence of the shifted-variable form is
-    checked exactly.  `Nz` (2B + 2 by default, and no less) becomes the
-    table's certified_order: the z-order through which the bench oracle and
-    the tests re-expand it against the closed form.
+    checked exactly.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
-    B = n * (n + 1) // 2
-    if Nz is None:
-        Nz = 2 * B + 2
-    if Nz < 2 * B + 2:
-        raise ValueError(f"need z-order at least {2 * B + 2}")
     basis = basis or default_basis()
     basis.certify(n)
     N = {}
@@ -576,7 +574,7 @@ def capped_vertex_table(n, Nz=None, basis=None):
         entries[lam] = (num, den)
         q_free = q_free and all(is_q_free(c) for part in (num, den)
                                 for c in _zpoly_sub_w(part).values())
-    return CappedVertexTable(n, entries, Nz, q_free)
+    return CappedVertexTable(n, entries, q_free)
 
 
 def check_rationality(ns=(1, 2, 3)):
@@ -652,7 +650,7 @@ PROP1_VARIANTS = ("proof", "four_term")
 PROP1_POWERS = ("n", "2n")
 
 
-def check_prop1(n):
+def check_prop1(n=3):
     """For each fixed point, polarization variant and a-power, compare
 
         lim_{a->0} delta^{-1} O(-1) a^p   with   hbar^n hbar^{n2} (O(-1)x1).
@@ -738,7 +736,7 @@ def calibrate(kernel_order=2, main_orders=(3, 4), prop1_max=2):
     for orientation in ("arms_t1", "arms_t2"):
         rep = check_kernel_identity(kernel_order, orientation,
                                     MacdonaldBasis(orientation=orientation))
-        evidence[f"kernel_{orientation}"] = rep.to_dict()
+        evidence[f"kernel_{orientation}"] = rep
         if rep.passed:
             orientations.append(orientation)
     if len(orientations) != 1:
@@ -747,13 +745,13 @@ def calibrate(kernel_order=2, main_orders=(3, 4), prop1_max=2):
     orientation = orientations[0]
 
     rep = check_prop1(prop1_max)
-    evidence["prop1"] = rep.to_dict()
+    evidence["prop1"] = rep
     validated = rep.details["validated"]
     if not validated:
         raise RuntimeError("no limit normalization validates")
 
     repm = check_main(*main_orders)
-    evidence["main"] = repm.to_dict()
+    evidence["main"] = repm
     if not repm.passed:
         raise RuntimeError("no shift/reading reconciles the two forms")
     shift = repm.details["winning_shift"]
@@ -767,7 +765,9 @@ def calibrate(kernel_order=2, main_orders=(3, 4), prop1_max=2):
         "main_shift_text": shift,
         "main_matches_printed_claim": repm.details["matches_printed_claim"],
     })
-    return conventions, evidence
+    # wall-clock time is left out, so that the record is the same every run
+    return conventions, {key: dict(rep.to_dict(), seconds=None)
+                         for key, rep in evidence.items()}
 
 
 def write_conventions(path, conventions, evidence=None):
@@ -779,62 +779,61 @@ def write_conventions(path, conventions, evidence=None):
         fh.write("\n")
 
 
-def load_conventions(path):
-    with open(path) as fh:
-        return json.load(fh)["conventions"]
+# ---------------------------------------------------------------------------
+# verify targets for the command line
+# ---------------------------------------------------------------------------
+
+def check_rationality_through(n=3):
+    """check_rationality for every degree 1..n."""
+    return check_rationality(tuple(range(1, n + 1)))
 
 
-# ---------------------------------------------------------------------------
-# check registry for the command line
-# ---------------------------------------------------------------------------
+def check_prop4_through(n=3):
+    """check_prop4 for every k <= n, timed as one report: the first failing
+    k's report, or the last one with the k checked."""
+    t0 = time.perf_counter()
+    for k in range(n + 1):
+        rep = check_prop4(n, k)
+        if not rep.passed:
+            break
+    else:
+        rep.details["k_checked"] = list(range(n + 1))
+    rep.seconds = time.perf_counter() - t0
+    return rep
+
+
+Target = namedtuple("Target", "check oriented orders")
+
+# Each target's check, whether it takes the tangent orientation, and for each
+# order it reads (keyed as in a report's `orders`: y, z, n) the check's
+# parameter and the lowest value at which it compares anything.  Below y^1
+# the localization checks cover no degree and the exponential sides have no
+# exponent to compare; below z^2 several (reading, shift) pairs satisfy
+# `main`, so it cannot name one shift ((1, 1) matches 4 pairs, (y, 0) all
+# 90); rationality below n = 1 covers no degree, and prop4 below n = 0 no k.
+# An order left unset runs at the check's own default.
+VERIFY_TARGETS = {
+    "kernel": Target(check_kernel_identity, True, {"y": ("N", 1)}),
+    "mellit": Target(check_mellit, True, {"y": ("N", 1)}),
+    "osum": Target(check_osum, True, {"y": ("N", 1)}),
+    "ook": Target(check_ook, False, {"y": ("Ny", 1), "z": ("Nz", 0)}),
+    "main": Target(check_main, False, {"y": ("Ny", 1), "z": ("Nz", 2)}),
+    "slice": Target(check_degenerate_slice, False, {"y": ("N", 1)}),
+    "rationality": Target(check_rationality_through, False, {"n": ("n", 1)}),
+    "prop1": Target(check_prop1, False, {"n": ("n", 0)}),
+    "prop4": Target(check_prop4_through, False, {"n": ("n", 0)}),
+}
+
 
 def run_check(name, y_order=None, z_order=None, n=None,
               orientation="arms_t1"):
-    """Dispatch a single named check with the configured orders."""
-    if name == "kernel":
-        return check_kernel_identity(y_order if y_order is not None else 5,
-                                     orientation)
-    if name == "mellit":
-        return check_mellit(y_order if y_order is not None else 4,
-                            orientation)
-    if name == "osum":
-        return check_osum(y_order if y_order is not None else 5, orientation)
-    y = y_order if y_order is not None else DEFAULT_Y_ORDER
-    z = z_order if z_order is not None else DEFAULT_Z_ORDER
-    if name == "ook":
-        return check_ook(y, z)
-    if name == "main":
-        return check_main(y, z)
-    if name == "slice":
-        return check_degenerate_slice(y_order if y_order is not None else 5)
-    if name == "rationality":
-        return check_rationality(
-            tuple(range(1, (n if n is not None else 3) + 1)))
-    if name == "prop1":
-        return check_prop1(n if n is not None else 3)
-    if name == "prop4":
-        nn = n if n is not None else 3
-        t0 = time.perf_counter()
-        for kk in range(0, nn + 1):
-            rep = check_prop4(nn, kk)
-            if not rep.passed:
-                rep.seconds = time.perf_counter() - t0
-                return rep
-        rep.seconds = time.perf_counter() - t0
-        rep.details["k_checked"] = list(range(nn + 1))
-        return rep
-    raise ValueError(f"unknown check {name!r}")
-
-
-CHECK_NAMES = ("kernel", "mellit", "osum", "ook", "main", "slice",
-               "rationality", "prop1", "prop4")
-
-# The lowest orders, keyed as in a report's `orders`, at which each check
-# compares anything.  Below y^1 the localization checks cover no degree and
-# the exponential sides have no exponent to compare; below z^2 several
-# (reading, shift) pairs satisfy `main`, so it cannot name one shift
-# ((1, 1) matches 4 pairs, (y, 0) all 90); rationality below n = 1 covers no
-# degree, and prop4 below n = 0 no k.
-MIN_ORDERS = {"kernel": {"y": 1}, "mellit": {"y": 1}, "osum": {"y": 1},
-              "ook": {"y": 1}, "main": {"y": 1, "z": 2}, "slice": {"y": 1},
-              "rationality": {"n": 1}, "prop1": {"n": 0}, "prop4": {"n": 0}}
+    """Run one verify target at the given orders."""
+    if name not in VERIFY_TARGETS:
+        raise ValueError(f"unknown check {name!r}")
+    target = VERIFY_TARGETS[name]
+    given = {"y": y_order, "z": z_order, "n": n}
+    kwargs = {param: given[key] for key, (param, _) in target.orders.items()
+              if given[key] is not None}
+    if target.oriented:
+        kwargs["orientation"] = orientation
+    return target.check(**kwargs)

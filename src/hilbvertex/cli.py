@@ -5,9 +5,9 @@ Exit codes: 0 all requested checks pass, 1 a verification mismatch,
 
 Flags mirror environment variables with the HILBVERTEX_ prefix
 (HILBVERTEX_YMAX, HILBVERTEX_ZMAX, HILBVERTEX_N, HILBVERTEX_FORMAT,
-HILBVERTEX_OUT, HILBVERTEX_JOBS, HILBVERTEX_CONVENTIONS).  Output files are
-byte-identical for identical configurations: wall-clock timing is shown on
-the console but never written to files.
+HILBVERTEX_OUT).  Output files are byte-identical for identical
+configurations: wall-clock timing is shown on the console but never written
+to files.
 """
 
 import argparse
@@ -16,15 +16,13 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .scalar import ResourceLimitError
 from . import checks as checks_mod
 from .checks import (run_check, calibrate, write_conventions,
-                     load_conventions, capped_vertex_table, closed_F,
-                     osum_exponential, mellit_exponential, CHECK_NAMES,
-                     MIN_ORDERS, HARD_Y_BOUND, HARD_Z_BOUND, VERTEX_N_MAX,
-                     DEFAULT_CONVENTIONS)
+                     capped_vertex_table, closed_F, osum_exponential,
+                     mellit_exponential, VERIFY_TARGETS, HARD_Y_BOUND,
+                     HARD_Z_BOUND, VERTEX_N_MAX, DEFAULT_CONVENTIONS)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -64,54 +62,34 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _run_named(args_tuple):
-    name, y, z, n, orientation = args_tuple
-    rep = run_check(name, y_order=y, z_order=z, n=n, orientation=orientation)
-    return name, rep
-
-
 def cmd_verify(args):
     targets = args.targets or ["all"]
     if "all" in targets:
-        targets = list(CHECK_NAMES)
-    unknown = [t for t in targets if t not in CHECK_NAMES]
+        targets = list(VERIFY_TARGETS)
+    unknown = [t for t in targets if t not in VERIFY_TARGETS]
     if unknown:
         raise ConfigError(f"unknown verify targets: {', '.join(unknown)}")
     _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
              "n": ("--n", args.n)}
     for t in targets:
-        for key, lowest in MIN_ORDERS[t].items():
+        for key, (_, lowest) in VERIFY_TARGETS[t].orders.items():
             flag, value = given[key]
             if value is not None and value < lowest:
                 raise ConfigError(f"verify {t} needs {flag} >= {lowest}")
-    orientation = DEFAULT_CONVENTIONS["tangent_orientation"]
-    if args.conventions:
-        orientation = load_conventions(args.conventions).get(
-            "tangent_orientation", orientation)
-    if args.orientation:
-        orientation = args.orientation
-    jobs = max(1, args.jobs or 1)
-    work = [(t, args.ymax, args.zmax, args.n, orientation) for t in targets]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_run_named, work))
-        reports = [results[t] for t in targets]
-    else:
-        reports = [_run_named(w)[1] for w in work]
-    all_pass = True
-    for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        all_pass = all_pass and rep.passed
-        print(f"{status} {rep.name} orders={rep.orders} "
-              f"({rep.seconds:.2f}s)")
+    reports = []
+    for t in targets:
+        rep = run_check(t, args.ymax, args.zmax, args.n, args.orientation)
+        reports.append(rep)
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name} "
+              f"orders={rep.orders} ({rep.seconds:.2f}s)")
         if not rep.passed:
             print(json.dumps(rep.details, indent=2, sort_keys=True))
     payload = [dict(rep.to_dict(), seconds=None) for rep in reports]
     text = _format_reports(payload, args.format)
     if args.out:
         _emit(text, args.out)
-    return EXIT_OK if all_pass else EXIT_MISMATCH
+    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
 
 
 def _format_reports(payload, fmt):
@@ -179,11 +157,7 @@ def cmd_vertex(args):
     if not 0 <= n <= VERTEX_N_MAX:
         raise ConfigError(f"--n must lie in [0, {VERTEX_N_MAX}] for vertex "
                           f"tables")
-    # the table needs z-order n(n+1) + 2 at least, so that is always allowed
-    zbound = max(HARD_Z_BOUND, n * (n + 1) + 2)
-    if args.zmax is not None and args.zmax > zbound:
-        raise ConfigError(f"--zmax must be at most {zbound} for --n {n}")
-    table = capped_vertex_table(n, args.zmax)
+    table = capped_vertex_table(n)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -205,7 +179,7 @@ def cmd_vertex(args):
 
 def cmd_calibrate(args):
     conventions, evidence = calibrate()
-    path = args.out or args.conventions or "conventions.json"
+    path = args.out or "conventions.json"
     write_conventions(path, conventions,
                       evidence if args.evidence else None)
     print(f"wrote {path}")
@@ -231,9 +205,6 @@ def build_parser():
         "format": dict(choices=("json", "csv", "text"),
                        default=_env("FORMAT") or "json"),
         "out": dict(default=_env("OUT")),
-        "jobs": dict(type=int, default=_env("JOBS", int) or 1),
-        "conventions": dict(default=_env("CONVENTIONS"),
-                            help="path of a frozen-conventions file"),
     }
 
     def add_flags(sp, *names):
@@ -242,11 +213,12 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run verification checks")
     sp.add_argument("targets", nargs="*",
-                    help=f"subset of {', '.join(CHECK_NAMES)}, or all")
+                    help=f"subset of {', '.join(VERIFY_TARGETS)}, or all")
     sp.add_argument("--orientation", choices=("arms_t1", "arms_t2"),
+                    default=DEFAULT_CONVENTIONS["tangent_orientation"],
                     help="override the calibrated tangent orientation "
                          "(negative control)")
-    add_flags(sp, "ymax", "zmax", "n", "format", "out", "jobs", "conventions")
+    add_flags(sp, "ymax", "zmax", "n", "format", "out")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("series", help="emit a generating function")
@@ -255,11 +227,11 @@ def build_parser():
     sp.set_defaults(fn=cmd_series)
 
     sp = sub.add_parser("vertex", help="write a capped vertex table")
-    add_flags(sp, "zmax", "n", "format", "out")
+    add_flags(sp, "n", "format", "out")
     sp.set_defaults(fn=cmd_vertex)
 
     sp = sub.add_parser("calibrate", help="re-derive and freeze conventions")
-    add_flags(sp, "out", "conventions")
+    add_flags(sp, "out")
     sp.add_argument("--evidence", action="store_true",
                     help="embed the calibration reports in the file")
     sp.set_defaults(fn=cmd_calibrate)

@@ -45,6 +45,7 @@ from functools import reduce
 from math import factorial, gcd, lcm
 from operator import mul
 
+# pmul is not called here, but perfbench/selftest.py reads macdonald.pmul
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
                      pmul, pmul_int, decode, encode, key_var, VARIABLES,
                      bareiss_solve, solve_poly_system)
@@ -545,8 +546,7 @@ def macd_H_axioms(n):
 
 def euler_hilb(lam, orientation="arms_t1"):
     """Fixed-point Euler class: Koszul product of the squared tangent weights."""
-    num_f, den_f = tangent_hilb(lam, orientation).adams(2).lambda_factors()
-    return Scalar(reduce(pmul, num_f, pone()), reduce(pmul, den_f, pone()))
+    return tangent_hilb(lam, orientation).adams(2).lambda_dot()
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def test_criterion_06_rationality():
     ok = True
     for n in (1, 2, 3):
         B = n * (n + 1) // 2
-        table = checks.capped_vertex_table(n, 2 * B + 2)
+        table = checks.capped_vertex_table(n)
+        ok = ok and table.certified_order == 2 * B + 2
         cand = checks.candidate_denominator(n)
         F = checks.closed_F(n, 2 * B + 2)
         from hilbvertex.macdonald import default_basis, euler_hilb

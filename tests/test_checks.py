@@ -242,8 +242,6 @@ def test_vertex_table_certifies_its_basis():
 def test_vertex_table_bounds():
     with pytest.raises(ValueError):
         capped_vertex_table(checks.VERTEX_N_MAX + 1)
-    with pytest.raises(ValueError):
-        capped_vertex_table(2, 3)
 
 
 def test_candidate_denominator_structure():

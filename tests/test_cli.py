@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 import hilbvertex
-from hilbvertex.cli import main, EXIT_OK, EXIT_MISMATCH, EXIT_USAGE
+from hilbvertex import cli
+from hilbvertex.cli import (main, build_parser, EXIT_OK, EXIT_MISMATCH,
+                            EXIT_USAGE)
 
 # the directory the tests import the package from, installed or not
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(hilbvertex.__file__))
@@ -46,8 +49,8 @@ def test_verify_bound_error_exit_two():
     ["--ymax", "0"],
 ])
 def test_verify_rejects_orders_below_the_lowest(argv):
-    # below checks.MIN_ORDERS a check compares nothing, or several
-    # (reading, shift) pairs satisfy main
+    # below its lowest orders in checks.VERIFY_TARGETS a check compares
+    # nothing, or several (reading, shift) pairs satisfy main
     assert main(["verify", *argv]) == EXIT_USAGE
 
 
@@ -95,9 +98,33 @@ def test_specialize_validation():
     ["series", "osum", "--jobs", "2"],
     ["vertex", "--ymax", "3"],
     ["calibrate", "--format", "csv"],
+    ["verify", "--jobs", "2"],
+    ["verify", "--conventions", "c.json"],
+    ["vertex", "--zmax", "8"],
+    ["calibrate", "--conventions", "c.json"],
 ])
 def test_subcommand_rejects_flags_it_ignores(argv):
     assert main(argv) == EXIT_USAGE
+
+
+def test_option_surface(monkeypatch):
+    # each subcommand's flags, and the HILBVERTEX_* variables behind them
+    read = []
+    monkeypatch.setattr(cli, "_env", lambda name, cast=str: read.append(name))
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for action in sp._actions
+                          for opt in action.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, sp in sub.choices.items()}
+    assert flags == {
+        "verify": ["--format", "--n", "--orientation", "--out", "--ymax",
+                   "--zmax"],
+        "series": ["--format", "--out", "--ymax", "--zmax"],
+        "vertex": ["--format", "--n", "--out"],
+        "calibrate": ["--evidence", "--out"],
+    }
+    assert sorted(read) == ["FORMAT", "N", "OUT", "YMAX", "ZMAX"]
 
 
 def test_series_taubar_trivial(tmp_path):
@@ -192,10 +219,11 @@ def test_printed_output_is_pinned(tmp_path, argv, code, digest):
 
 
 def test_calibrate_idempotent(tmp_path):
-    a, b = tmp_path / "c1.json", tmp_path / "c2.json"
-    assert main(["calibrate", "--out", str(a)]) == EXIT_OK
-    assert main(["calibrate", "--out", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+    for extra in ([], ["--evidence"]):
+        a, b = tmp_path / "c1.json", tmp_path / "c2.json"
+        assert main(["calibrate", "--out", str(a), *extra]) == EXIT_OK
+        assert main(["calibrate", "--out", str(b), *extra]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
     conv = json.loads(a.read_text())["conventions"]
     assert conv["tangent_orientation"] == "arms_t1"
     assert conv["prop1_a_power"] == "n"
