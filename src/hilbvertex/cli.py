@@ -34,11 +34,24 @@ class ConfigError(Exception):
     pass
 
 
+FORMATS = ("json", "csv", "text")
+
+
 def _env(name, cast=str):
+    """HILBVERTEX_<name> through `cast`, which may reject it (ConfigError)."""
     raw = os.environ.get(f"HILBVERTEX_{name}")
     if raw is None:
         return None
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError as e:
+        raise ConfigError(f"HILBVERTEX_{name}={raw!r}: {e}") from None
+
+
+def _format(raw):
+    if raw not in FORMATS:
+        raise ValueError(f"choose from {', '.join(FORMATS)}")
+    return raw
 
 
 def _bounds_check(args, targets=()):
@@ -202,8 +215,8 @@ def build_parser():
         "ymax": dict(type=int, default=_env("YMAX", int)),
         "zmax": dict(type=int, default=_env("ZMAX", int)),
         "n": dict(type=int, default=_env("N", int)),
-        "format": dict(choices=("json", "csv", "text"),
-                       default=_env("FORMAT") or "json"),
+        "format": dict(choices=FORMATS,
+                       default=_env("FORMAT", _format) or "json"),
         "out": dict(default=_env("OUT")),
     }
 
@@ -239,17 +252,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as e:

@@ -576,10 +576,12 @@ def norm(lam):
 # ---------------------------------------------------------------------------
 
 class MacdonaldBasis:
-    """Per-degree cache of H_lam with decomposition and localization sums."""
+    """Per-degree cache of H_lam with decomposition and localization sums.
 
-    def __init__(self, orientation="arms_t1"):
-        self.orientation = orientation
+    H_lam, its certificate and w_lam do not depend on the tangent orientation,
+    only the Euler factor does: euler, ratio and localization_sum take it."""
+
+    def __init__(self):
         self._H = {}
         self._certified = set()
         self._norms = {}
@@ -637,22 +639,24 @@ class MacdonaldBasis:
             got = self._norms[lam] = norm(lam)
         return got
 
-    def euler(self, lam):
-        """euler_hilb(lam) in this basis's orientation, computed once."""
-        got = self._eulers.get(lam)
+    def euler(self, lam, orientation="arms_t1"):
+        """euler_hilb(lam, orientation), computed once per orientation."""
+        key = (lam, orientation)
+        got = self._eulers.get(key)
         if got is None:
-            got = self._eulers[lam] = euler_hilb(lam, self.orientation)
+            got = self._eulers[key] = euler_hilb(lam, orientation)
         return got
 
-    def ratio(self, lam):
-        """euler(lam) / norm(lam), reduced, computed once.
+    def ratio(self, lam, orientation="arms_t1"):
+        """euler(lam, orientation) / norm(lam), reduced, computed once.
 
         A pairing <f, H_lam>_* times this ratio is the restriction of f to
         the fixed point lam.
         """
-        got = self._ratios.get(lam)
+        key = (lam, orientation)
+        got = self._ratios.get(key)
         if got is None:
-            got = self._ratios[lam] = (self.euler(lam)
+            got = self._ratios[key] = (self.euler(lam, orientation)
                                        / self.norm(lam)).reduced()
         return got
 
@@ -721,7 +725,7 @@ class MacdonaldBasis:
         return {lam: p * norm(lam).inverse()
                 for lam, p in self.pairings(f, n).items()}
 
-    def localization_sum(self, eig, n):
+    def localization_sum(self, eig, n, orientation="arms_t1"):
         """sum over |lam| = n of eig(lam) H_lam / Euler(lam), exactly.
 
         The direct reference sum.  The identity checks never expand it: they
@@ -730,7 +734,7 @@ class MacdonaldBasis:
         total = FockElement.zero(n)
         for lam in partitions(n):
             total = total + self.H(lam) * (eig(lam)
-                                           / euler_hilb(lam, self.orientation))
+                                           / self.euler(lam, orientation))
         return total
 
 

@@ -28,10 +28,11 @@ def test_kernel_small_orders():
 
 
 def test_kernel_wrong_orientation_witness_at_y2():
-    basis = MacdonaldBasis(orientation="arms_t2")
-    rep = check_kernel_identity(2, "arms_t2", basis)
+    # a supplied basis carries no orientation: the one passed is the one used
+    rep = check_kernel_identity(2, "arms_t2", basis=MacdonaldBasis())
     assert not rep.passed
     assert rep.outcome == "mismatch"
+    assert rep.conventions["tangent_orientation"] == "arms_t2"
     assert rep.details["degree"] == 2
     assert tuple(rep.details["fixed_point"]) in partitions(2)
     # a mismatch always carries a concrete witness with both values
@@ -198,6 +199,35 @@ def test_degenerate_slice():
     assert check_degenerate_slice(3).passed
 
 
+def _expanded_slice(N):
+    """The slice's verdict and witness from the expanded exponentials."""
+    F = closed_F(N, 0)
+    rhs = kernel_exponential(N)
+    for mu, c in F.coeffs.items():
+        val = c.coefficient(0, 0).limit_at_zero("u")
+        want = rhs.coefficient(mu).limit_at_zero("u")
+        if val != want:
+            return "mismatch", {"p_monomial": list(mu),
+                                "lhs": val.render(), "rhs": want.render()}
+    return "exact-match", {"y": N}
+
+
+@pytest.mark.parametrize("wrong_k", [None, 1, 3])
+def test_slice_exponent_route_matches_the_expansions(monkeypatch, wrong_k):
+    if wrong_k is not None:
+        right = checks._closed_exponent_parts
+
+        def wrong(k):
+            a, b = right(k)
+            return (a + T1 * HBAR if k == wrong_k else a), b
+
+        monkeypatch.setattr(checks, "_closed_exponent_parts", wrong)
+    rep = check_degenerate_slice(4)
+    assert (rep.outcome, rep.details) == _expanded_slice(4)
+    if wrong_k is not None:
+        assert rep.details["p_monomial"] == [wrong_k]
+
+
 def test_vertex_table_n0():
     table = capped_vertex_table(0)
     (num, den), = table.entries.values()
@@ -261,6 +291,17 @@ def test_candidate_denominator_structure():
         assert d.get(deg, ZERO) == c
 
 
+def test_divides_zpoly():
+    d1, d2 = candidate_denominator(1), candidate_denominator(2)
+    assert checks._divides_zpoly(d1, d2) and checks._divides_zpoly(d2, d2)
+    assert checks._divides_zpoly(d2, {0: ZERO, 5: ZERO})
+    assert not checks._divides_zpoly(d2, d1)
+    assert not checks._divides_zpoly(d1, {0: ONE})
+    assert not checks._divides_zpoly(d1, {0: ONE, 1: ONE})
+    assert not checks._divides_zpoly(d2, checks._zmul(d1, {0: ONE, 1: Q}))
+    assert checks._divides_zpoly(d1, checks._zmul(d1, {0: U, 2: Q}))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_vertex_table_equals_the_series_route(n):
     # the route the tables took before they were computed exactly in z:
@@ -312,8 +353,19 @@ def test_cofactor_of_a_non_factor_raises():
 
 
 def test_rationality_small():
-    rep = check_rationality((1, 2))
+    rep = check_rationality(2)
     assert rep.passed
+    assert rep.orders == {"n": 2}
+    assert rep.details["degrees"] == [1, 2]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_vertex_table_den_is_the_candidate(n):
+    # check_rationality tests no divisibility because of this; a change
+    # that reduces the entries must bring that test back
+    cand = candidate_denominator(n)
+    for num, den in capped_vertex_table(n).entries.values():
+        assert den == cand
 
 
 def test_prop1_small():

@@ -242,3 +242,34 @@ def test_env_override(tmp_path):
 def test_usage_error_exit_code():
     proc = run_cli(["verify", "--ymax", "not-a-number"])
     assert proc.returncode == EXIT_USAGE
+
+
+@pytest.mark.parametrize("var, value, argv", [
+    ("YMAX", "abc", ["verify", "kernel", "--ymax", "1"]),
+    ("N", "2.5", ["vertex"]),
+    ("FORMAT", "xml", ["verify", "kernel", "--ymax", "1"]),
+    ("FORMAT", "xml", ["series", "F", "--ymax", "1", "--zmax", "1"]),
+])
+def test_malformed_environment_value_is_a_config_error(
+        monkeypatch, capsys, tmp_path, var, value, argv):
+    # rejected even when the flag is given; argparse checks no default
+    monkeypatch.setenv(f"HILBVERTEX_{var}", value)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: HILBVERTEX_{var}=")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_and_calibrate_build_each_degree_once(monkeypatch, tmp_path):
+    # one basis per process, whatever the orientation
+    from hilbvertex import macdonald
+    built = []
+    hhl = macdonald.macd_H_hhl
+    monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", None)
+    monkeypatch.setattr(macdonald, "macd_H_hhl",
+                        lambda n: built.append(n) or hhl(n))
+    assert main(["verify", "kernel", "osum", "mellit", "rationality",
+                 "--ymax", "3", "--n", "3",
+                 "--orientation", "arms_t2"]) == EXIT_MISMATCH
+    assert main(["calibrate", "--out", str(tmp_path / "c.json")]) == EXIT_OK
+    assert sorted(built) == [0, 1, 2, 3]

@@ -263,14 +263,27 @@ def test_exp_pairings_of_the_closed_form():
 
 
 def test_basis_holds_norms_and_euler_factors():
-    basis = MacdonaldBasis(orientation="arms_t2")
+    # one basis, an Euler factor and a ratio per (lam, orientation)
+    basis = MacdonaldBasis()
     for lam in partitions(4):
         assert basis.norm(lam) == norm(lam)
-        assert basis.euler(lam) == euler_hilb(lam, "arms_t2")
         assert basis.norm(lam) is basis.norm(lam)
-        assert basis.euler(lam) is basis.euler(lam)
-        assert basis.ratio(lam) == euler_hilb(lam, "arms_t2") / norm(lam)
-        assert basis.ratio(lam) is basis.ratio(lam)
+        for o in ("arms_t1", "arms_t2"):
+            assert basis.euler(lam, o) == euler_hilb(lam, o)
+            assert basis.euler(lam, o) is basis.euler(lam, o)
+            assert basis.ratio(lam, o) == euler_hilb(lam, o) / norm(lam)
+            assert basis.ratio(lam, o) is basis.ratio(lam, o)
+        assert basis.euler(lam) is basis.euler(lam, "arms_t1")
+        assert basis.ratio(lam) is basis.ratio(lam, "arms_t1")
+
+
+def test_localization_sum_in_either_orientation():
+    basis = MacdonaldBasis()
+    for o in ("arms_t1", "arms_t2"):
+        f = basis.localization_sum(lambda lam: ONE, 3, o)
+        c = basis.decompose(f, 3)
+        for lam in partitions(3):
+            assert c[lam] == ONE / euler_hilb(lam, o)
 
 
 def _expand_p_mu(mu, nvars):
