@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -12,7 +13,7 @@ from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_hhl, fixed_point_decompose,
                                   localization_sum, euler_hilb, norm,
                                   star_weight, Q_MACD, T_MACD, p_to_m_matrix,
-                                  character_table, z_mu)
+                                  character_table, m_to_p, z_mu)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex import checks
@@ -330,3 +331,20 @@ def test_character_table_is_orthonormal(n):
             dot = sum(Fraction(chi[lam].get(rho, 0) * chi[mu].get(rho, 0),
                                z_mu(rho)) for rho in parts)
             assert dot == (lam == mu)
+
+
+def test_transition_tables_are_pinned():
+    # the character tables and m_to_p for n = 0..MAX_DEGREE, nonzero entries
+    # in sorted order, Fractions as num/den; a change of how the tables are
+    # computed leaves this text byte for byte the same
+    lines = []
+    for n in range(MAX_DEGREE + 1):
+        for lam, row in sorted(character_table(n).items()):
+            lines += [f"chi {lam} {rho} {v}"
+                      for rho, v in sorted(row.items()) if v]
+        for lam, row in sorted(m_to_p(n).items()):
+            lines += [f"m2p {lam} {rho} {v.numerator}/{v.denominator}"
+                      for rho, v in sorted(row.items()) if v]
+    text = "\n".join(lines).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "5af7a5f1df05abe809aa70706e0d0295d17e860209f8c63ee2f9690f0a7be4d2")
