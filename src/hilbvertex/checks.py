@@ -232,13 +232,15 @@ def closed_exponents(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
             + z^k hbar^2k q^-k (hbar^k - hbar^-k)/(1-(z hbar/q)^k) )
           / (k(1-t1^2k)(1-t2^2k))
     """
-    c = {}
-    for k in range(1, Ny + 1):
-        const, zfac = _closed_exponent_parts(k)
-        inner = Series.term((HBAR / Q) ** k, 0, k, 0, Nz)
-        c[k] = (Series.const(const, 0, Nz)
-                + Series.term(zfac, 0, k, 0, Nz) * inner.geom())
-    return c
+    return {k: _closed_exponent(k, Nz) for k in range(1, Ny + 1)}
+
+
+def _closed_exponent(k, Nz):
+    """c_k(z) through z^Nz, from its parts A_k and B_k."""
+    const, zfac = _closed_exponent_parts(k)
+    inner = Series.term((HBAR / Q) ** k, 0, k, 0, Nz)
+    return (Series.const(const, 0, Nz)
+            + Series.term(zfac, 0, k, 0, Nz) * inner.geom())
 
 
 def _closed_exponent_parts(k):
@@ -282,13 +284,8 @@ def build_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER, reading="printed"):
 
 
 def ook_argument(Nz):
-    """The p_1-linear argument of the plethystic-exponential form."""
-    den = _coeff_den(1)
-    const = Series.const(_hbar2k(1) * (ONE - U) / den, 0, Nz)
-    inner = Series.term(HBAR / Q, 0, 1, 0, Nz)
-    zfac = Series.term(_hbar2k(1) * (HBAR - HBAR.inverse()) / (den * Q),
-                       0, 1, 0, Nz)
-    return const + zfac * inner.geom()
+    """The p_1-linear argument of the plethystic-exponential form: c_1."""
+    return _closed_exponent(1, Nz)
 
 
 def _exponent_mismatch(a, b):

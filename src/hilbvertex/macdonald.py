@@ -18,6 +18,12 @@ algebra.  Two independent constructions serve as cross-checks:
 
 MacdonaldBasis.certify checks the basis actually built against these axioms.
 
+Two closed rules give the transitions between the classical bases
+(Macdonald, "Symmetric Functions and Hall Polynomials", I.2 and I.7):
+Newton-Girard writes p_k in the h_lam, and Hall duality of m and h turns
+that into m_to_p; Murnaghan-Nakayama gives the integer characters of S_n in
+character_table, and s_lam = sum_rho chi^lam(rho) p_rho / z_rho.
+
 Also here: the calibrated fixed-point Euler factor (the tangent character
 with every weight squared, fed to the Koszul product), decomposition into
 the H-basis, and the localization sum over fixed points of a given degree.
@@ -42,7 +48,7 @@ off the exponents without expanding the exponential.
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 # pmul is not called here, but perfbench/selftest.py reads macdonald.pmul
@@ -51,7 +57,7 @@ from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
                      bareiss_solve, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
-from .fock import FockElement
+from .fock import FockElement, _mults
 
 # Macdonald parameters on the engine lattice: q = t1^(-2), t = t2^(-2)
 Q_MACD = Scalar.monomial(t1=-4)
@@ -79,13 +85,8 @@ def _invert_t2(x):
 
 
 def z_mu(mu):
-    z = 1
-    mult = {}
-    for k in mu:
-        mult[k] = mult.get(k, 0) + 1
-    for k, m in mult.items():
-        z *= k ** m * factorial(m)
-    return z
+    """z_mu = prod_k k^m_k m_k! over the multiplicities m_k of mu."""
+    return prod(k ** m * factorial(m) for k, m in _mults(mu).items())
 
 
 def _clear_row(entries):
@@ -104,71 +105,13 @@ def _clear_row(entries):
 
 
 # ---------------------------------------------------------------------------
-# rational symmetric-function scaffolding (Fraction coefficients, p-basis)
+# transition tables: m and s in the p-basis, by the closed rules
 # ---------------------------------------------------------------------------
 
-def p_to_m_matrix(n):
-    """Integer matrix: p_mu = sum_lam M[mu][lam] m_lam over partitions of n.
-
-    M[mu][lam] is the coefficient of x^lam in prod_i p_(mu_i): the number
-    of maps sending each part of mu to a row of lam so that the parts sent
-    to each row add up to its length.  It depends on the row lengths still
-    to fill only as a multiset, so the count recurses on the remaining
-    parts and the sorted remaining row lengths, with a memo.
-    """
-    memo = {}
-
-    def count(mu, rows):
-        if not mu:
-            return 1  # the parts add up to n, so every row is full
-        key = (mu, rows)
-        got = memo.get(key)
-        if got is None:
-            k, got = mu[0], 0
-            for v in set(rows):
-                if v >= k:
-                    rest = list(rows)
-                    rest.remove(v)
-                    if v > k:
-                        rest.append(v - k)
-                    got += rows.count(v) * count(
-                        mu[1:], tuple(sorted(rest, reverse=True)))
-            memo[key] = got
-        return got
-
-    parts = partitions(n)
-    out = {}
-    for mu in parts:
-        row = {}
-        for lam in parts:
-            c = count(mu, lam)
-            if c:
-                row[lam] = c
-        out[mu] = row
-    return parts, out
-
-
-def m_to_p(n):
-    """m_lam in the p-basis with Fraction coefficients.
-
-    p_mu expands only in the m_lam with lam dominating mu, so in
-    partitions(n) order forward substitution inverts the p-to-m matrix.
-    """
-    parts, p2m = p_to_m_matrix(n)
-    out = {}
-    for mu in parts:
-        # m_mu = (p_mu - sum over lam > mu of M[mu][lam] m_lam) / M[mu][mu]
-        row = {mu: Fraction(1)}
-        for lam, c in p2m[mu].items():
-            if lam != mu:
-                for rho, v in out[lam].items():
-                    row[rho] = row.get(rho, 0) - c * v
-        out[mu] = {rho: row[rho] / p2m[mu][mu] for rho in parts
-                   if row.get(rho)}
-    return out
-
-
 def _p_mult(f, g):
+    """Product of two dicts over partitions under concatenation of keys.
+
+    That is the product of h_mu h_nu = h_(mu U nu) (likewise of p or e)."""
     out = {}
     for mu, a in f.items():
         for nu, b in g.items():
@@ -177,66 +120,64 @@ def _p_mult(f, g):
     return {k: v for k, v in out.items() if v}
 
 
-def _p_add(f, g, sign=1):
-    out = dict(f)
-    for k, v in g.items():
-        s = out.get(k, 0) + sign * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+def m_to_p(n):
+    """m_lam in the p-basis with Fraction coefficients.
 
-
-def s_in_p(lam, _cache={}):
-    """Schur s_lam in the p-basis via the Jacobi-Trudi determinant."""
-    lam = tuple(lam)
-    got = _cache.get(lam)
-    if got is not None:
-        return got
-    ell = len(lam)
-    if ell == 0:
-        return {(): Fraction(1)}
-
-    def entry(i, j):
-        m = lam[i] - i + j
-        if m < 0:
-            return None
-        if m == 0:
-            return {(): Fraction(1)}
-        return {mu: Fraction(1, z_mu(mu)) for mu in partitions(m)}  # h_m
-
-    # the minor on the last len(cols) rows and the columns cols; a minor
-    # recurs under many expansions, so each is computed once
-    minors = {}
-
-    def det(cols):
-        if cols in minors:
-            return minors[cols]
-        row = ell - len(cols)
-        if len(cols) == 1:
-            return entry(row, cols[0])
-        total = {}
-        for pos, col in enumerate(cols):
-            e = entry(row, col)
-            if e is None:
-                continue
-            sub = det(cols[:pos] + cols[pos + 1:])
-            if sub is None:
-                continue
-            total = _p_add(total, _p_mult(e, sub), 1 if pos % 2 == 0 else -1)
-        minors[cols] = total
-        return total
-
-    result = det(tuple(range(ell)))
-    _cache[lam] = result
-    return result
+    Newton-Girard gives p_k = sum_{lam |- k} (-1)^(l-1) k (l-1)! / prod_i m_i!
+    h_lam over the length l and multiplicities m_i of lam, and p_rho is the
+    product of its p_k under h_mu h_nu = h_(mu U nu).  The m_lam are dual to
+    the h_lam and the p_rho / z_rho to the p_rho, so the p_rho coefficient of
+    m_lam is <m_lam, p_rho> / z_rho = [h_lam] p_rho / z_rho.
+    """
+    p_in_h = {}
+    for k in range(1, n + 1):
+        p_in_h[k] = {}
+        for lam in partitions(k):
+            c = k * factorial(len(lam) - 1) // prod(
+                map(factorial, _mults(lam).values()))
+            p_in_h[k][lam] = (-1) ** (len(lam) - 1) * c
+    parts = partitions(n)
+    p = {rho: reduce(_p_mult, [p_in_h[k] for k in rho], {(): 1})
+         for rho in parts}
+    return {lam: {rho: Fraction(p[rho][lam], z_mu(rho)) for rho in parts
+                  if p[rho].get(lam)}
+            for lam in parts}
 
 
 def character_table(n):
-    """chi[lam][rho] = z_rho [p_rho] s_lam, the integer characters of S_n."""
-    return {lam: {rho: int(v * z_mu(rho)) for rho, v in s_in_p(lam).items()}
-            for lam in partitions(n)}
+    """chi[lam][rho], the integer characters of S_n, by Murnaghan-Nakayama.
+
+    lam is held as its beta-set, the n beads lam_i + n - 1 - i (lam padded
+    with zeros).  Removing a border strip of length r moves one bead from b
+    to an empty b - r, with sign (-1)^(beads jumped), and chi^lam(rho) sums
+    the signed characters of what is left at rho less the part r.  Parts
+    are removed largest first, so the small remainders recur and are summed
+    once.  Only the nonzero characters are kept.
+    """
+    memo = {}
+
+    def chi(beads, rho):
+        if not rho:
+            return 1
+        key = (beads, rho)
+        got = memo.get(key)
+        if got is None:
+            r, got = rho[0], 0
+            for b in beads:
+                if b >= r and b - r not in beads:
+                    jumped = sum(b - r < c < b for c in beads)
+                    moved = beads - {b} | {b - r}
+                    got += (-1) ** jumped * chi(moved, rho[1:])
+            memo[key] = got
+        return got
+
+    parts = partitions(n)
+    out = {}
+    for lam in parts:
+        beads = frozenset(v + n - 1 - i
+                          for i, v in enumerate(lam + (0,) * (n - len(lam))))
+        out[lam] = {rho: v for rho in parts if (v := chi(beads, rho))}
+    return out
 
 
 def _twisted_schur(f, step, chars):
@@ -506,15 +447,18 @@ def macd_H_axioms(n):
     makes it slow beyond degree 5.
     """
     parts = partitions(n)
-    s_p = {nu: _to_scalar_dict(s_in_p(nu)) for nu in parts}
     chars = character_table(n)
+    # s_nu = sum_rho chi^nu(rho) p_rho / z_rho
+    s_frac = {nu: {rho: Fraction(x, z_mu(rho)) for rho, x in row.items()}
+              for nu, row in chars.items()}
+    s_p = {nu: _to_scalar_dict(d) for nu, d in s_frac.items()}
 
     def twisted_matrix(step):
         # entry (mu, nu): s_mu coefficient of s_nu[X(1-x)], x = q or t
         cols = {}
         for nu in parts:
-            den = lcm(*(v.denominator for v in s_in_p(nu).values()))
-            f = {rho: pconst(int(v * den)) for rho, v in s_in_p(nu).items()}
+            den = lcm(*(v.denominator for v in s_frac[nu].values()))
+            f = {rho: pconst(int(v * den)) for rho, v in s_frac[nu].items()}
             for mu, c in _twisted_schur(f, step, chars).items():
                 cols[(mu, nu)] = Scalar(c, pconst(den))
         return cols

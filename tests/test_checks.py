@@ -176,6 +176,15 @@ def test_check_main_finds_unique_shift():
     assert rep.details["claimed_shift"] == "-z*hbar^1*q^1"
 
 
+@pytest.mark.parametrize("Ny, Nz, count", [(1, 1, 4), (2, 0, 90)])
+def test_check_main_below_z2_cannot_name_one_shift(Ny, Nz, count):
+    # why VERIFY_TARGETS sets the lowest z order of main to 2
+    rep = check_main(Ny, Nz)
+    assert rep.outcome == "mismatch"
+    assert rep.details["reason"] == "shift is not unique"
+    assert len(rep.details["matches"]) == count
+
+
 def test_check_ook_small():
     assert check_ook(3, 4).passed
 

@@ -10,7 +10,7 @@ import pytest
 import hilbvertex
 from hilbvertex import cli
 from hilbvertex.cli import (main, build_parser, EXIT_OK, EXIT_MISMATCH,
-                            EXIT_USAGE)
+                            EXIT_USAGE, EXIT_LIMIT)
 
 # the directory the tests import the package from, installed or not
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(hilbvertex.__file__))
@@ -216,6 +216,14 @@ def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_resource_limit_exit_three(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(hilbvertex.scalar, "MAX_TERMS", 0)
+    out = tmp_path / "out"
+    assert main(["series", "F", "--ymax", "1", "--zmax", "1",
+                 "--out", str(out)]) == EXIT_LIMIT
+    assert capsys.readouterr().err.startswith("resource limit:")
 
 
 def test_calibrate_idempotent(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, prod
 
 import pytest
@@ -12,8 +13,8 @@ from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,
                                   macd_H_hhl, fixed_point_decompose,
                                   localization_sum, euler_hilb, norm,
-                                  star_weight, Q_MACD, T_MACD, p_to_m_matrix,
-                                  character_table, m_to_p, z_mu)
+                                  star_weight, Q_MACD, T_MACD, character_table,
+                                  m_to_p, z_mu)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex import checks
@@ -302,15 +303,21 @@ def _expand_p_mu(mu, nvars):
 
 @pytest.mark.parametrize("n", range(7))
 def test_p_to_m_counts_match_the_expansion(n):
-    parts, M = p_to_m_matrix(n)
-    assert parts == partitions(n)
+    # m_to_p inverts the p-to-m counts of the brute-force expansion: sum_rho
+    # m_to_p[lam][rho] p_rho, expanded in n variables, is m_lam, with
+    # coefficient 1 on every rearrangement of lam and 0 elsewhere
     nv = max(1, n)
-    for mu in parts:
-        poly = _expand_p_mu(mu, nv)
-        want = {lam: poly[tuple(lam) + (0,) * (nv - len(lam))]
-                for lam in parts
-                if tuple(lam) + (0,) * (nv - len(lam)) in poly}
-        assert M[mu] == want
+    p = {rho: _expand_p_mu(rho, nv) for rho in partitions(n)}
+    m2p = m_to_p(n)
+    assert list(m2p) == partitions(n)
+    for lam, row in m2p.items():
+        got = {}
+        for rho, c in row.items():
+            for exps, v in p[rho].items():
+                got[exps] = got.get(exps, 0) + c * v
+        got = {exps: v for exps, v in got.items() if v}
+        padded = tuple(lam) + (0,) * (nv - len(lam))
+        assert got == {exps: 1 for exps in set(permutations(padded))}
 
 
 def _hooks(lam):
@@ -321,8 +328,10 @@ def _hooks(lam):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_character_table_is_orthonormal(n):
-    # chi from s_in_p: rows orthonormal under sum_rho chi chi' / z_rho, and
-    # chi^lam on the identity class is the hook-length count f^lam
+    # chi by Murnaghan-Nakayama: rows orthonormal under sum_rho chi chi' /
+    # z_rho, columns orthogonal with sum_lam chi(rho) chi(sigma) = z_rho
+    # delta, chi^lam' = sign(rho) chi^lam, and chi^lam on the identity class
+    # is the hook-length count f^lam
     chi = character_table(n)
     parts = partitions(n)
     for lam in parts:
@@ -331,6 +340,14 @@ def test_character_table_is_orthonormal(n):
             dot = sum(Fraction(chi[lam].get(rho, 0) * chi[mu].get(rho, 0),
                                z_mu(rho)) for rho in parts)
             assert dot == (lam == mu)
+        for rho in parts:
+            assert chi[conjugate(lam)].get(rho, 0) == (
+                (-1) ** (n - len(rho)) * chi[lam].get(rho, 0))
+    for rho in parts:
+        for sigma in parts:
+            dot = sum(chi[lam].get(rho, 0) * chi[lam].get(sigma, 0)
+                      for lam in parts)
+            assert dot == (z_mu(rho) if rho == sigma else 0)
 
 
 def test_transition_tables_are_pinned():
