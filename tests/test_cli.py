@@ -209,6 +209,10 @@ def test_vertex_n1_denominator(tmp_path):
      "e33e647c4a03737e38801aed87f0d85623bcf7c96a88800227eb30f3e3d2da08"),
     (["verify", "prop4", "--n", "2"], EXIT_OK,
      "d51ed21a968810abe5b0761d5ae5c3629567b86e93dba673c9b7c6cec68ec94a"),
+    (["series", "osum", "--ymax", "6"], EXIT_OK,
+     "a3c9afcb9e62b76593eaa3c42c2199fc256b517a5aa03d3998d166a95872a7c9"),
+    (["series", "taubar", "--ymax", "6"], EXIT_OK,
+     "26e1b004f672e0be03bd8cd708fdc26553265c9ae2021cd0792f6a04d54113df"),
 ])
 def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     # the printed text of a value must not follow its stored form: a change
