@@ -9,12 +9,10 @@ from .characters import (Character, partitions, conjugate, boxes,
                          taut_character, tangent_hilb, polarization_M2,
                          tangent_M2, delta_11, o_line_eigen, chern_eigen,
                          fixed_points_rank2)
-from .fock import (FockElement, TensorFockElement, HeisenbergIndex, heis,
-                   exp_linear, pexp, fock_exp, fock_log, tensor_exp,
-                   jj0_substitute, project_second)
+from .fock import (FockElement, TensorFockElement, heis, exp_linear, pexp,
+                   tensor_exp, jj0_substitute, project_second)
 from .macdonald import (MacdonaldBasis, macd_H, macd_H_hhl, macd_H_axioms,
-                        macd_H_gram_schmidt, fixed_point_decompose,
-                        localization_sum, euler_hilb)
+                        macd_H_gram_schmidt, euler_hilb)
 from .checks import (VerificationReport, CappedVertexTable,
                      check_kernel_identity, check_mellit, check_osum,
                      check_ook, check_main, check_degenerate_slice,

@@ -4,19 +4,23 @@ A FockElement is a finite map from p-monomial indices (partitions mu, meaning
 p_mu = prod p_{mu_i}) to coefficients, truncated by total degree N; the degree
 of p_mu is |mu|, which doubles as the y-grading of all generating functions.
 Coefficients are Scalars or z-Series; the two kinds are not mixed inside one
-element.  TensorFockElement indexes by pairs (mu1, mu2).  The tensor square
-(tensor_exp, jj0_substitute, project_second) is the reference route of the
-derivation in the main statement; checks.build_F reaches the same element on
-one factor, and tests compare the two.
+element.  TensorFockElement indexes by pairs (mu1, mu2).  Both are the same
+truncated algebra over different monomials, and share one arithmetic
+(_PowerSums): each gives only its unit monomial, the degree of a monomial and
+the product of two.
+
+The tensor square (tensor_exp, jj0_substitute, project_second) is the
+reference route of the derivation in the main statement; checks.build_F
+reaches the same element on one factor, and tests compare the two.
+jj0_substitute is the ring map p2_k -> p2_k + gamma_k p1_k, applied through
+the shared multiplication.
 
 The slope-0 Heisenberg generators act by -k d/dp_k for k > 0 and by
 multiplication by -p_|k| / d_|k| for k < 0 where
 d_k = (t1^(k/2) - t1^(-k/2)) (t2^(k/2) - t2^(-k/2)).
 """
 
-from math import comb
-
-from .scalar import Scalar, ZERO, ONE, HBAR
+from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .characters import partitions
 
@@ -28,41 +32,6 @@ def heis_denominator(k):
     return f1 * f2
 
 
-def heis_level(k):
-    """n_k = d_k (hbar^(k/2) - hbar^(-k/2)) / k, the structure constant."""
-    h = Scalar.monomial(t1=k, t2=k) - Scalar.monomial(t1=-k, t2=-k)
-    return heis_denominator(k) * h / k
-
-
-class HeisenbergIndex:
-    """Nonzero generator index with its structure constants."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        if k == 0:
-            raise ValueError("Heisenberg index must be nonzero")
-        self.k = k
-
-    @property
-    def d(self):
-        return heis_denominator(abs(self.k))
-
-    @property
-    def n(self):
-        return heis_level(abs(self.k))
-
-
-def _sorted_merge(mu, extra):
-    return tuple(sorted(mu + (extra,), reverse=True))
-
-
-def _remove_part(mu, k):
-    out = list(mu)
-    out.remove(k)
-    return tuple(out)
-
-
 def _mults(mu):
     d = {}
     for k in mu:
@@ -70,81 +39,83 @@ def _mults(mu):
     return d
 
 
-class FockElement:
+def _merge(a, b):
+    return tuple(sorted(a + b, reverse=True))
+
+
+class _PowerSums:
+    """A truncated commutative algebra of monomials with exact coefficients.
+
+    Subclasses set UNIT, the key of the monomial 1, and give _degree(key)
+    and _key_product(a, b).  Stored coefficients are never zero, and every
+    key has degree <= N.
+    """
+
     __slots__ = ("coeffs", "N")
     __hash__ = None
 
     def __init__(self, coeffs, N):
         self.N = N
-        self.coeffs = {mu: c for mu, c in coeffs.items()
-                       if sum(mu) <= N and not c.is_zero()}
+        degree = self._degree
+        self.coeffs = {key: c for key, c in coeffs.items()
+                       if degree(key) <= N and not c.is_zero()}
 
-    @staticmethod
-    def zero(N):
-        return FockElement({}, N)
+    @classmethod
+    def zero(cls, N):
+        return cls({}, N)
 
-    @staticmethod
-    def one(N, like=None):
-        c = like if like is not None else ONE
-        return FockElement({(): c}, N)
+    @classmethod
+    def one(cls, N, like=None):
+        return cls({cls.UNIT: like if like is not None else ONE}, N)
 
-    @staticmethod
-    def p(k, N):
-        """The generator p_k with coefficient one."""
-        return FockElement({(k,): ONE}, N)
-
-    def coefficient(self, mu):
-        c = self.coeffs.get(tuple(mu))
+    def _coefficient(self, key):
+        c = self.coeffs.get(key)
         if c is not None:
             return c
         sample = next(iter(self.coeffs.values()), None)
         return Series.zero(*sample.bounds()) if isinstance(sample, Series) else ZERO
-
-    def degree_slice(self, n):
-        return FockElement({mu: c for mu, c in self.coeffs.items()
-                            if sum(mu) == n}, self.N)
 
     def is_zero(self):
         return not self.coeffs
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            s = out.get(mu)
-            out[mu] = c if s is None else s + c
-        return FockElement(out, min(self.N, other.N))
+        for key, c in other.coeffs.items():
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return type(self)(out, min(self.N, other.N))
 
     def __neg__(self):
-        return FockElement({mu: -c for mu, c in self.coeffs.items()}, self.N)
+        return type(self)({key: -c for key, c in self.coeffs.items()}, self.N)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar, Series)):
-            return FockElement({mu: c * other for mu, c in self.coeffs.items()},
-                               self.N)
+            return type(self)({key: c * other for key, c in self.coeffs.items()},
+                              self.N)
         N = min(self.N, other.N)
+        degree, product = self._degree, self._key_product
         out = {}
-        for mu1, c1 in self.coeffs.items():
-            d1 = sum(mu1)
-            for mu2, c2 in other.coeffs.items():
-                if d1 + sum(mu2) > N:
+        for k1, c1 in self.coeffs.items():
+            d1 = degree(k1)
+            for k2, c2 in other.coeffs.items():
+                if d1 + degree(k2) > N:
                     continue
-                mu = tuple(sorted(mu1 + mu2, reverse=True))
-                s = out.get(mu)
-                out[mu] = c1 * c2 if s is None else s + c1 * c2
-        return FockElement(out, N)
+                key = product(k1, k2)
+                s = out.get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
+        return type(self)(out, N)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, FockElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        for mu in keys:
-            a = self.coeffs.get(mu)
-            b = other.coeffs.get(mu)
+        for key in set(self.coeffs) | set(other.coeffs):
+            a = self.coeffs.get(key)
+            b = other.coeffs.get(key)
             if a is None:
                 a, b = b, a
             if b is None:
@@ -157,6 +128,27 @@ class FockElement:
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
+
+
+class FockElement(_PowerSums):
+    __slots__ = ()
+    UNIT = ()
+    _degree = staticmethod(sum)
+    _key_product = staticmethod(_merge)
+    # kept in FockElement's own __dict__: perfbench/tracing.py wraps it there
+    __eq__ = _PowerSums.__eq__
+
+    @staticmethod
+    def p(k, N):
+        """The generator p_k with coefficient one."""
+        return FockElement({(k,): ONE}, N)
+
+    def coefficient(self, mu):
+        return self._coefficient(tuple(mu))
+
+    def degree_slice(self, n):
+        return FockElement({mu: c for mu, c in self.coeffs.items()
+                            if sum(mu) == n}, self.N)
 
     def first_difference(self, other):
         """Smallest (degree, mu) where coefficients differ, or None."""
@@ -176,29 +168,20 @@ class FockElement:
 
 def heis(k, f):
     """Slope-0 Heisenberg action on a FockElement."""
-    if isinstance(k, HeisenbergIndex):
-        k = k.k
     if k == 0:
         raise ValueError("Heisenberg index must be nonzero")
+    if k < 0:
+        return f * FockElement({(-k,): -(ONE / heis_denominator(-k))}, f.N)
     out = {}
-    if k > 0:
-        for mu, c in f.coeffs.items():
-            m = mu.count(k)
-            if not m:
-                continue
-            nu = _remove_part(mu, k)
-            s = out.get(nu)
-            term = c * (-k * m)
-            out[nu] = term if s is None else s + term
-        return FockElement(out, f.N)
-    kk = -k
-    d = heis_denominator(kk)
     for mu, c in f.coeffs.items():
-        if sum(mu) + kk > f.N:
+        m = mu.count(k)
+        if not m:
             continue
-        nu = _sorted_merge(mu, kk)
+        nu = list(mu)
+        nu.remove(k)
+        nu = tuple(nu)
         s = out.get(nu)
-        term = c * (ONE / d) * (-1)
+        term = c * (-k * m)
         out[nu] = term if s is None else s + term
     return FockElement(out, f.N)
 
@@ -245,42 +228,6 @@ def _partitions_cached(n, _cache={}):
     return _cache[n]
 
 
-def fock_exp(f):
-    """exp of a FockElement with zero constant term, truncated at f.N."""
-    c0 = f.coeffs.get(())
-    if c0 is not None and not c0.is_zero():
-        raise ValueError("exp needs a zero constant term")
-    like = next(iter(f.coeffs.values()), None)
-    one = (Series.one(*like.bounds()) if isinstance(like, Series) else ONE)
-    out = FockElement.one(f.N, one)
-    power = out
-    fact = 1
-    for m in range(1, f.N + 1):
-        power = power * f
-        if power.is_zero():
-            break
-        fact *= m
-        out = out + power * Scalar.fraction(1, fact)
-    return out
-
-
-def fock_log(f):
-    """log of a FockElement with constant term 1."""
-    c0 = f.coeffs.get(())
-    one = ONE if not isinstance(c0, Series) else Series.one(*c0.bounds())
-    if c0 is None or c0 != one:
-        raise ValueError("log needs constant term 1")
-    g = f - FockElement.one(f.N, one)
-    out = FockElement.zero(f.N)
-    power = FockElement.one(f.N, one)
-    for m in range(1, f.N + 1):
-        power = power * g
-        if power.is_zero():
-            break
-        out = out + power * Scalar.fraction((-1) ** (m + 1), m)
-    return out
-
-
 def plethystic_exponents(c1, N):
     """The exponents adams(c1, k) / k, k <= N, of the plethystic exponential."""
     return {k: c1.adams(k) * Scalar.fraction(1, k) for k in range(1, N + 1)}
@@ -298,77 +245,20 @@ def pexp(c1, N):
 # tensor square
 # ---------------------------------------------------------------------------
 
-class TensorFockElement:
-    __slots__ = ("coeffs", "N")
-    __hash__ = None
-
-    def __init__(self, coeffs, N):
-        self.N = N
-        self.coeffs = {k: c for k, c in coeffs.items()
-                       if sum(k[0]) + sum(k[1]) <= N and not c.is_zero()}
+class TensorFockElement(_PowerSums):
+    __slots__ = ()
+    UNIT = ((), ())
 
     @staticmethod
-    def zero(N):
-        return TensorFockElement({}, N)
+    def _degree(key):
+        return sum(key[0]) + sum(key[1])
 
     @staticmethod
-    def one(N, like=None):
-        return TensorFockElement({((), ()): like if like is not None else ONE}, N)
+    def _key_product(a, b):
+        return _merge(a[0], b[0]), _merge(a[1], b[1])
 
     def coefficient(self, mu1, mu2):
-        c = self.coeffs.get((tuple(mu1), tuple(mu2)))
-        if c is not None:
-            return c
-        sample = next(iter(self.coeffs.values()), None)
-        return Series.zero(*sample.bounds()) if isinstance(sample, Series) else ZERO
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return TensorFockElement(out, min(self.N, other.N))
-
-    def __neg__(self):
-        return TensorFockElement({k: -c for k, c in self.coeffs.items()}, self.N)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, Series)):
-            return TensorFockElement(
-                {k: c * other for k, c in self.coeffs.items()}, self.N)
-        N = min(self.N, other.N)
-        out = {}
-        for (a1, a2), c1 in self.coeffs.items():
-            d1 = sum(a1) + sum(a2)
-            for (b1, b2), c2 in other.coeffs.items():
-                if d1 + sum(b1) + sum(b2) > N:
-                    continue
-                k = (tuple(sorted(a1 + b1, reverse=True)),
-                     tuple(sorted(a2 + b2, reverse=True)))
-                s = out.get(k)
-                out[k] = c1 * c2 if s is None else s + c1 * c2
-        return TensorFockElement(out, N)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorFockElement):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        for k in keys:
-            if self.coefficient(*k) != other.coefficient(*k):
-                return False
-        return True
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self._coefficient((tuple(mu1), tuple(mu2)))
 
     def __repr__(self):
         inner = ", ".join(f"p{list(m1)}(x)p{list(m2)}: {c.render()}"
@@ -431,8 +321,9 @@ def jj0_correction(k, ny, nz, reading="printed"):
 def jj0_substitute(T, reading="printed"):
     """Apply the algebra homomorphism p2_k -> p2_k + gamma_k p1_k.
 
-    Coefficients must be Series; the correction is exact through the z-bound
-    of the coefficients.
+    A term c p1_mu1 p2_mu2 maps to c p1_mu1 prod_{k in mu2} (p2_k + gamma_k
+    p1_k); the terms sharing mu2 are mapped together.  Coefficients must be
+    Series; the correction is exact through their z-bound.
     """
     sample = next(iter(T.coeffs.values()), None)
     if sample is None:
@@ -440,37 +331,22 @@ def jj0_substitute(T, reading="printed"):
     if not isinstance(sample, Series):
         raise TypeError("jj0_substitute needs Series coefficients")
     ny, nz = sample.bounds()
-    gammas = {}
-    out = {}
+    images = {}
+    by_mu2 = {}
     for (mu1, mu2), c in T.coeffs.items():
-        # expand prod over parts k of mu2 of (p2_k + gamma_k p1_k)
-        expansions = [((mu1, ()), c)]
-        for k, m in _mults(mu2).items():
-            g = gammas.get(k)
-            if g is None:
-                g = jj0_correction(k, ny, nz, reading)
-                gammas[k] = g
-            new = []
-            for (key, val) in expansions:
-                b1, b2 = key
-                gp = Series.one(ny, nz)
-                for j in range(m + 1):
-                    # j factors become gamma_k p1_k, m-j stay p2_k
-                    term = val * (gp * comb(m, j))
-                    nk1 = tuple(sorted(b1 + (k,) * j, reverse=True))
-                    nk2 = tuple(sorted(b2 + (k,) * (m - j), reverse=True))
-                    new.append(((nk1, nk2), term))
-                    if j < m:
-                        gp = gp * g
-            merged = {}
-            for key, val in new:
-                s = merged.get(key)
-                merged[key] = val if s is None else s + val
-            expansions = list(merged.items())
-        for key, val in expansions:
-            s = out.get(key)
-            out[key] = val if s is None else s + val
-    return TensorFockElement(out, T.N)
+        by_mu2.setdefault(mu2, {})[mu1, ()] = c
+    out = TensorFockElement.zero(T.N)
+    for mu2, first in by_mu2.items():
+        term = TensorFockElement(first, T.N)
+        for k in mu2:
+            image = images.get(k)
+            if image is None:
+                image = images[k] = TensorFockElement(
+                    {((), (k,)): Series.one(ny, nz),
+                     ((k,), ()): jj0_correction(k, ny, nz, reading)}, T.N)
+            term = term * image
+        out = out + term
+    return out
 
 
 def project_second(T):

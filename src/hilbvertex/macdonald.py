@@ -695,11 +695,3 @@ def default_basis():
 def macd_H(lam):
     """H_lam in the frozen convention, from the shared cache."""
     return default_basis().H(lam)
-
-
-def fixed_point_decompose(f, n):
-    return default_basis().decompose(f, n)
-
-
-def localization_sum(eig, n):
-    return default_basis().localization_sum(eig, n)

@@ -42,10 +42,6 @@ class Series:
         return Series.const(ONE, ny, nz)
 
     @staticmethod
-    def y(ny, nz):
-        return Series({(1, 0): ONE}, ny, nz)
-
-    @staticmethod
     def z(ny, nz):
         return Series({(0, 1): ONE}, ny, nz)
 

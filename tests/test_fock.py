@@ -8,9 +8,8 @@ from hilbvertex.series import Series
 from hilbvertex.characters import partitions
 from hilbvertex.checks import (kernel_exponents, mellit_exponents,
                               closed_exponents)
-from hilbvertex.fock import (FockElement, TensorFockElement, HeisenbergIndex,
-                             heis, heis_denominator, heis_level, exp_linear,
-                             pexp, fock_exp, fock_log, tensor_exp,
+from hilbvertex.fock import (FockElement, TensorFockElement, heis,
+                             heis_denominator, exp_linear, pexp, tensor_exp,
                              jj0_substitute, jj0_correction, project_second)
 
 rng = random.Random(99)
@@ -50,15 +49,12 @@ def test_heis_examples():
     assert heis(2, p1).is_zero()
 
 
-def test_heis_index_constants():
-    idx = HeisenbergIndex(2)
+def test_heis_denominator_and_index_zero():
     d2 = (Scalar.monomial(t1=2) - Scalar.monomial(t1=-2)) * \
          (Scalar.monomial(t2=2) - Scalar.monomial(t2=-2))
-    assert idx.d == d2
-    h = Scalar.monomial(t1=2, t2=2) - Scalar.monomial(t1=-2, t2=-2)
-    assert idx.n == d2 * h / 2
+    assert heis_denominator(2) == d2
     with pytest.raises(ValueError):
-        HeisenbergIndex(0)
+        heis(0, FockElement.p(1, 3))
 
 
 def test_commutator_property():
@@ -139,11 +135,6 @@ def test_pexp_examples():
         assert pp.coefficient((k,)) == c.adams(k) * Scalar.fraction(1, k)
 
 
-def test_fock_exp_log_roundtrip():
-    g = FockElement({(1,): T1, (2,): U / (ONE - T2)}, 4)
-    assert fock_log(fock_exp(g)) == g
-
-
 def test_tensor_exp_examples():
     one = Series.one(0, 1)
     d = {1: Series.const(T1, 0, 1) * Series.z(0, 1)}
@@ -205,3 +196,35 @@ def test_project_second():
         TensorFockElement({((), (1,)): ONE}, 3)).is_zero()
     pr = project_second(TensorFockElement({((1,), ()): ONE}, 3))
     assert pr.coefficient((1,)) == ONE
+
+
+def _rand_pair_keys(N):
+    return [(mu1, mu2) for n1 in range(N + 1) for mu1 in partitions(n1)
+            for n2 in range(N + 1 - n1) for mu2 in partitions(n2)]
+
+
+def _rand_tensor_scalar(deg, N):
+    return TensorFockElement({key: Scalar.from_int(rng.randint(-3, 3))
+                              for key in _rand_pair_keys(deg)
+                              if rng.random() < 0.3}, N)
+
+
+@pytest.mark.parametrize("make, other_one", [
+    (rand_fock, TensorFockElement.one(4)),
+    (_rand_tensor_scalar, FockElement.one(4)),
+], ids=["fock", "tensor"])
+def test_shared_arithmetic(make, other_one):
+    # degree-4 factors under N = 4: every product is truncated
+    for _ in range(4):
+        a, b, c = make(4, 4), make(4, 4), make(4, 4)
+        assert (a + b) * c == a * c + b * c
+        assert (a * b) * c == a * (b * c)
+        assert a - a == type(a).zero(4)
+    one = type(a).one(4)
+    assert not (one == other_one) and one != other_one
+    assert not (other_one == one) and other_one != one
+
+
+def test_jj0_needs_series_coefficients():
+    with pytest.raises(TypeError):
+        jj0_substitute(TensorFockElement({((), (1,)): ONE}, 3))
