@@ -361,8 +361,8 @@ def o_line_eigen(lam1, lam2, which="full"):
         * diagram_factor(lam2)
 
 
-def chern_eigen(lams, framing, k, dual=False):
-    """k-th elementary symmetric function of the (inverse) box weights."""
+def chern_eigen(lams, framing, k):
+    """k-th elementary symmetric function of the box weights."""
     if k < 0 or k > sum(size(l) for l in lams):
         raise ValueError(f"chern index {k} out of range")
     weights = taut_character(lams, framing).weights
@@ -372,8 +372,7 @@ def chern_eigen(lams, framing, k, dual=False):
     # place: every coefficient is positive, so nothing cancels.  After i of
     # the nb box weights only e_j with j <= i is nonzero, and only e_j with
     # j >= k - (nb - i) can still reach e_k.
-    shifts = [(key_inv(w) if dual else w) - KEY_ONE
-              for w, m in weights.items() for _ in range(m)]
+    shifts = [w - KEY_ONE for w, m in weights.items() for _ in range(m)]
     nb = len(shifts)
     e = [pone()] + [{} for _ in range(k)]
     for i, shift in enumerate(shifts, 1):

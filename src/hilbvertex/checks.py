@@ -135,11 +135,6 @@ def osum_exponents(N):
             for k in range(1, N + 1)}
 
 
-def kernel_exponential(N):
-    """exp( sum_k y^k hbar^(2k) p_k / (k (1-t1^(2k))(1-t2^(2k))) )."""
-    return exp_linear(kernel_exponents(N), N)
-
-
 def mellit_exponential(N):
     return exp_linear(mellit_exponents(N), N)
 
@@ -295,8 +290,9 @@ def _exponent_mismatch(a, b):
     exactly when a_k == b_k for every k, because the p_(k) coefficient is the
     exponent itself and every other coefficient is a polynomial in them.  At
     the first k with a_k != b_k every p_mu of degree below k, and every p_mu
-    of degree k but (k,), has parts below k only and agrees; so the witness
-    is the p_(k) coefficient, where FockElement.first_difference lands.
+    of degree k but (k,), has parts below k only and agrees; so the p_(k)
+    coefficient is the first coefficient, in order of degree, where the two
+    expansions differ, and it is the witness.
     """
     for k in sorted(a):
         if a[k] != b[k]:

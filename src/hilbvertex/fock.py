@@ -65,8 +65,8 @@ class _PowerSums:
         return cls({}, N)
 
     @classmethod
-    def one(cls, N, like=None):
-        return cls({cls.UNIT: like if like is not None else ONE}, N)
+    def one(cls, N):
+        return cls({cls.UNIT: ONE}, N)
 
     def _coefficient(self, key):
         c = self.coeffs.get(key)
@@ -149,15 +149,6 @@ class FockElement(_PowerSums):
     def degree_slice(self, n):
         return FockElement({mu: c for mu, c in self.coeffs.items()
                             if sum(mu) == n}, self.N)
-
-    def first_difference(self, other):
-        """Smallest (degree, mu) where coefficients differ, or None."""
-        keys = sorted(set(self.coeffs) | set(other.coeffs),
-                      key=lambda mu: (sum(mu), mu))
-        for mu in keys:
-            if self.coefficient(mu) != other.coefficient(mu):
-                return mu
-        return None
 
     def __repr__(self):
         inner = ", ".join(f"p{list(mu)}: {c.render()}"

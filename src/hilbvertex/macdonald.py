@@ -48,13 +48,13 @@ off the exponents without expanding the exponential.
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 # pmul is not called here, but perfbench/selftest.py reads macdonald.pmul
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
                      pmul, pmul_int, decode, encode, key_var, VARIABLES,
-                     bareiss_solve, solve_poly_system)
+                     solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb)
 from .fock import FockElement, _mults
@@ -349,14 +349,14 @@ def macd_P(n):
     Gram-Schmidt against the (q,t)-deformed power-sum pairing in ascending
     lex order (a linear extension of dominance).  Because the span of the
     already-built P_mu equals the span of the lower m_mu, orthogonality is
-    imposed directly against the monomial vectors: each P_lam solves a small
-    linear system whose Gram entries are cleared to polynomials, which keeps
-    the exact arithmetic small.
+    imposed directly against the monomial vectors: each P_lam = m_lam -
+    sum_nu x_nu m_nu, where solve_poly_system finds the x_nu from a small
+    system whose Gram entries are cleared to polynomials, which keeps the
+    exact arithmetic small.
     """
     parts = partitions(n)
     order = sorted(parts)  # ascending lex extends dominance upward
-    m2p_frac = m_to_p(n)
-    m2p = {lam: _to_scalar_dict(d) for lam, d in m2p_frac.items()}
+    m2p = {lam: _to_scalar_dict(d) for lam, d in m_to_p(n).items()}
     weights = {mu: _qt_pair_weight(mu) for mu in parts}
     clear = ONE
     for k in range(1, n + 1):
@@ -378,31 +378,14 @@ def macd_P(n):
     out = {}
     for i, lam in enumerate(order):
         lower = order[:i]
-        if not lower:
-            out[lam] = dict(m2p[lam])
-            continue
         rows = [_clear_row([gram[(nu, mu)] for nu in lower]
                            + [gram[(lam, mu)]]) for mu in lower]
-        k = len(lower)
-        # coefficient of m_nu is -dets[j] / D; assemble every p-coefficient
-        # as one fraction over L*D
-        D, dets = bareiss_solve([r[:k] for r in rows], [r[k] for r in rows])
-        L = 1
-        for coeffs in [m2p_frac[lam]] + [m2p_frac[nu] for nu in lower]:
-            for v in coeffs.values():
-                L = L // gcd(L, v.denominator) * v.denominator
-        f = {}
-        for rho, v in m2p_frac[lam].items():
-            f[rho] = pmul_int(D, int(v * L))
-        for j, nu in enumerate(lower):
-            if not dets[j]:
-                continue
-            for rho, v in m2p_frac[nu].items():
-                f[rho] = padd(f.get(rho, pzero()),
-                              pmul_int(dets[j], -int(v * L)))
-        denom = pmul_int(D, L)
-        out[lam] = {rho: Scalar(num, dict(denom)) for rho, num in f.items()
-                    if num}
+        xs = solve_poly_system([r[:-1] for r in rows], [r[-1] for r in rows])
+        f = dict(m2p[lam])
+        for nu, x in zip(lower, xs):
+            for rho, v in m2p[nu].items():
+                f[rho] = f.get(rho, ZERO) - x * v
+        out[lam] = {rho: v for rho, v in f.items() if v}
     return out
 
 
@@ -666,7 +649,7 @@ class MacdonaldBasis:
 
         By orthogonality c_lam = <f, H_lam>_* / w_lam; see pairings and norm.
         """
-        return {lam: p * norm(lam).inverse()
+        return {lam: p * self.norm(lam).inverse()
                 for lam, p in self.pairings(f, n).items()}
 
     def localization_sum(self, eig, n, orientation="arms_t1"):

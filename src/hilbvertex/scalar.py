@@ -35,6 +35,7 @@ process and keeps its graded-lex rank and text in a memo.
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 VARIABLES = ("t1", "t2", "q", "u", "a")
 NVARS = len(VARIABLES)
@@ -436,10 +437,6 @@ class Scalar:
         return Scalar({key_var(name, 2): 1})
 
     @staticmethod
-    def sqrt_var(name):
-        return Scalar({key_var(name, 1): 1})
-
-    @staticmethod
     def monomial(coeff=1, **half_exponents):
         """Monomial with named doubled exponents, e.g. monomial(t1=3) = t1^(3/2)."""
         exps = [0] * NVARS
@@ -469,8 +466,6 @@ class Scalar:
             return x
         if isinstance(x, int):
             return Scalar(pconst(x))
-        if isinstance(x, Fraction):
-            return Scalar(pconst(x.numerator), pconst(x.denominator))
         return NotImplemented
 
     def __add__(self, other):
@@ -521,7 +516,10 @@ class Scalar:
         return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        return Scalar._coerce(other) / self
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def inverse(self):
         if not self.num:
@@ -595,9 +593,6 @@ class Scalar:
                if (k >> s) & _MASK == field}
         return Scalar(num, den)
 
-    def a_valuation(self):
-        return self.valuation("a")
-
     def a_limit(self):
         return self.limit_at_zero("a")
 
@@ -617,45 +612,6 @@ class Scalar:
         if q is None:
             return self
         return Scalar(q, pconst(content))
-
-    def specialize(self, assignment):
-        """Substitute rationals for the square roots of selected variables.
-
-        `assignment` maps a variable name to the rational value of its square
-        root, e.g. {"t1": Fraction(2, 3)} sets t1^(1/2) = 2/3, t1 = 4/9.
-        """
-        idx = {VARIABLES.index(n): Fraction(v) for n, v in assignment.items()}
-        for i, v in idx.items():
-            if v == 0:
-                raise ValueError(f"cannot specialize {VARIABLES[i]} to zero")
-
-        def subst(poly):
-            acc = {}
-            for k, c in poly.items():
-                e = list(decode(k))
-                val = Fraction(c)
-                for i, r in idx.items():
-                    val *= r ** e[i]
-                    e[i] = 0
-                kk = encode(tuple(e))
-                acc[kk] = acc.get(kk, Fraction(0)) + val
-            acc = {k: v for k, v in acc.items() if v}
-            if not acc:
-                return {}
-            lcm = 1
-            for v in acc.values():
-                lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-            return {k: int(v * lcm) for k, v in acc.items()}, lcm
-
-        sd = subst(self.den)
-        if not sd:
-            raise ZeroDivisionError("specialization lies on the vanishing locus "
-                                    "of the denominator")
-        sn = subst(self.num)
-        if not sn:
-            return Scalar(pzero())
-        (num, ln), (den, ld) = sn, sd
-        return Scalar(pmul_int(num, ld), pmul_int(den, ln))
 
     # -- rendering -------------------------------------------------------------
 
@@ -687,6 +643,17 @@ HBAR_SQRT = Scalar.monomial(t1=1, t2=1)
 
 # ---------------------------------------------------------------------------
 # exact linear algebra: one fraction-free elimination over polynomial entries
+#
+# `_bareiss` brings [A | right-hand sides] to echelon form and
+# `_back_substitute` reads one column's Cramer numerators off it.  The three
+# entry points all run on that one elimination:
+# - solve_poly_system, the solve: any consistent system, verified; it serves
+#   rational reconstruction (series) and the Macdonald references (macd_P,
+#   macd_H_axioms);
+# - bareiss_det, the determinant: sign times the last pivot;
+# - invert_matrix, the inverse: the identity columns ride along.
+# No code of the package calls the last two; perfbench/tracing.py times
+# them by name.
 # ---------------------------------------------------------------------------
 
 def _bareiss(m, n):
@@ -752,28 +719,13 @@ def _back_substitute(m, pivots, col):
 
 def bareiss_det(matrix):
     """Fraction-free determinant of a square matrix of polynomial dicts."""
-    try:
-        return bareiss_solve(matrix, [{}] * len(matrix))[0]
-    except ZeroDivisionError:
-        return {}
-
-
-def bareiss_solve(matrix, rhs):
-    """Fraction-free solve of a square system A x = b of polynomial dicts.
-
-    Returns (D, [N_j]) with D = det(A) and x_j = N_j / D, so N_j is the
-    Cramer numerator det(A with column j replaced by b).  Raises
-    ZeroDivisionError when A is singular.
-    """
     n = len(matrix)
-    m = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    m = [list(row) for row in matrix]
     pivots, sign = _bareiss(m, n)
     if len(pivots) < n:
-        raise ZeroDivisionError("singular matrix")
-    D, nums = _back_substitute(m, pivots, n)
-    if sign < 0:
-        return pneg(D), [pneg(x) for x in nums]
-    return D, nums
+        return {}
+    D = m[-1][-1] if n else pone()
+    return pneg(D) if sign < 0 else D
 
 
 def solve_poly_system(rows, rhs):
@@ -809,23 +761,21 @@ def solve_poly_system(rows, rhs):
 
 
 def invert_matrix(rows):
-    """Exact inverse of a square Scalar matrix; raises on singular input."""
+    """Exact inverse of a square Scalar matrix.
+
+    Each row is cleared over the product of its denominators, and its
+    cleared identity column rides along through one elimination; each
+    column of the inverse is then one back-substitution.  Raises
+    InconsistentSystemError when the matrix is singular.
+    """
     n = len(rows)
-    a = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise InconsistentSystemError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    m = []
+    for i, row in enumerate(rows):
+        L = reduce(pmul, [e.den for e in row], pone())
+        m.append([pdivexact(pmul(e.num, L), e.den) for e in row]
+                 + [L if j == i else {} for j in range(n)])
+    pivots, _ = _bareiss(m, n)
+    if len(pivots) < n:
+        raise InconsistentSystemError("matrix is singular")
+    cols = [_back_substitute(m, pivots, n + j) for j in range(n)]
+    return [[Scalar(nums[i], dict(D)) for D, nums in cols] for i in range(n)]

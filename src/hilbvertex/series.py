@@ -6,8 +6,6 @@ bounds; the zero series has an empty map.  Binary operations combine bounds by
 taking the minimum in each grading.
 """
 
-import math
-
 from .scalar import (Scalar, ZERO, ONE, InconsistentSystemError, pone, padd,
                      pmul, pdivexact, solve_poly_system)
 

@@ -139,17 +139,10 @@ def test_chern_examples():
         chern_eigen(((1,),), (ONE,), 2)
 
 
-def test_chern_dual_uses_inverse_weights():
-    v = chern_eigen(((2,),), (ONE,), 1, dual=True)
-    assert v == ONE + T1.inverse()
-
-
-def _chern_by_scalar_convolution(lams, framing, k, dual):
+def _chern_by_scalar_convolution(lams, framing, k):
     ws = []
     for key, m in sorted(taut_character(lams, framing).weights.items()):
         ws.extend([Scalar({key: 1})] * m)
-    if dual:
-        ws = [w.inverse() for w in ws]
     e = [ONE] + [ZERO] * k
     for w in ws:
         for j in range(k, 0, -1):
@@ -163,9 +156,8 @@ def test_chern_matches_scalar_convolution():
         cases += [(pair, (ONE, A)) for pair in fixed_points_rank2(n)]
         for lams, framing in cases:
             for k in range(n + 1):
-                for dual in (False, True):
-                    assert chern_eigen(lams, framing, k, dual) == \
-                        _chern_by_scalar_convolution(lams, framing, k, dual)
+                assert chern_eigen(lams, framing, k) == \
+                    _chern_by_scalar_convolution(lams, framing, k)
 
 
 def test_chern_matches_the_elementary_symmetric_sum():
@@ -177,16 +169,14 @@ def test_chern_matches_the_elementary_symmetric_sum():
             ws = [Scalar({key: 1}) for key, m in
                   taut_character(lams, framing).weights.items()
                   for _ in range(m)]
-            for dual in (False, True):
-                xs = [w.inverse() for w in ws] if dual else ws
-                for k in range(n + 1):
-                    want = ZERO
-                    for subset in itertools.combinations(xs, k):
-                        term = ONE
-                        for x in subset:
-                            term = term * x
-                        want = want + term
-                    assert chern_eigen(lams, framing, k, dual) == want
+            for k in range(n + 1):
+                want = ZERO
+                for subset in itertools.combinations(ws, k):
+                    term = ONE
+                    for x in subset:
+                        term = term * x
+                    want = want + term
+                assert chern_eigen(lams, framing, k) == want
 
 
 def test_delta_trivial():

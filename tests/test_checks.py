@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
+from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
+                               pdivexact)
 from hilbvertex.series import Series, rational_reconstruct
 from hilbvertex.characters import partitions
-from hilbvertex.fock import (JJ0_READINGS, FockElement, tensor_exp,
+from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
                              jj0_substitute, project_second, pexp)
 from hilbvertex.macdonald import MacdonaldBasis
 from hilbvertex import checks
@@ -14,7 +15,7 @@ from hilbvertex.checks import (check_kernel_identity, check_mellit,
                                check_degenerate_slice, check_rationality,
                                check_prop1, check_prop4, closed_F, build_F,
                                capped_vertex_table, candidate_denominator,
-                               kernel_exponential, calibrate, run_check)
+                               calibrate, run_check)
 
 
 def den1():
@@ -60,7 +61,7 @@ def test_mellit_small_orders():
 
 def test_mellit_reduces_to_kernel_at_u_zero():
     m = checks.mellit_exponential(2)
-    k = kernel_exponential(2)
+    k = exp_linear(checks.kernel_exponents(2), 2)
     for mu in [(1,), (2,), (1, 1)]:
         assert m.coefficient(mu).limit_at_zero("u") == k.coefficient(mu)
 
@@ -93,7 +94,7 @@ def test_closed_F_u1_z0_is_trivial():
             continue
         v = c.coefficient(0, 0)
         # every p-coefficient carries a (1 - u^k) factor
-        assert v.specialize({"u": 1}).is_zero()
+        assert pdivexact(v.num, (ONE - U).num) is not None
 
 
 def test_closed_F_keeps_small_denominators():
@@ -136,12 +137,13 @@ def _scale_fock_z(f, factor):
 
 def _fock_mismatch(a, b):
     """The witness of a full-expansion comparison."""
-    mu = a.first_difference(b)
-    if mu is None:
-        return None
-    return {"p_monomial": list(mu),
-            "lhs": a.coefficient(mu).render(),
-            "rhs": b.coefficient(mu).render()}
+    keys = sorted(set(a.coeffs) | set(b.coeffs), key=lambda mu: (sum(mu), mu))
+    for mu in keys:
+        if a.coefficient(mu) != b.coefficient(mu):
+            return {"p_monomial": list(mu),
+                    "lhs": a.coefficient(mu).render(),
+                    "rhs": b.coefficient(mu).render()}
+    return None
 
 
 def test_exponent_route_matches_full_expansions():
@@ -211,7 +213,7 @@ def test_degenerate_slice():
 def _expanded_slice(N):
     """The slice's verdict and witness from the expanded exponentials."""
     F = closed_F(N, 0)
-    rhs = kernel_exponential(N)
+    rhs = exp_linear(checks.kernel_exponents(N), N)
     for mu, c in F.coeffs.items():
         val = c.coefficient(0, 0).limit_at_zero("u")
         want = rhs.coefficient(mu).limit_at_zero("u")
