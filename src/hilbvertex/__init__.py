@@ -2,8 +2,8 @@
 Hilbert schemes of points, with desk-scale verification of the supporting
 Macdonald and Fock-space identities."""
 
-from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, HBAR_SQRT,
-                     LimitError, ResourceLimitError)
+from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, LimitError,
+                     ResourceLimitError)
 from .series import Series, rational_reconstruct, ReconstructionError
 from .characters import (Character, partitions, conjugate, boxes,
                          taut_character, tangent_hilb, polarization_M2,

@@ -2,9 +2,13 @@
 
 Partitions are plain tuples of weakly decreasing positive integers.  Boxes
 are zero-based (row, col) pairs; the one-based (i, j) of the rank-2 geometry
-displays is (row+1, col+1).  A Character is a finite integer-multiplicity
-sum of monomial weights, stored on the same packed-key lattice as Scalar, so
-tensor operations are integer arithmetic on keys.
+displays is (row+1, col+1).
+
+A Character is an integer Laurent polynomial in the torus weights: the dict
+{packed key: multiplicity} of scalar.py's polynomial layer.  Sums and tensor
+products are padd and pmul, and the dual and the Adams operations are
+padams; the K-theoretic Euler class and the determinant turn it into a
+Scalar.
 
 Frozen conventions (calibrated once against the Fock-space identities, see
 checks.calibrate):
@@ -15,9 +19,11 @@ checks.calibrate):
     matching the line-bundle eigenvalue a^(-|lam1|) * prod t1^(1-j) t2^(1-i).
 """
 
-from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, NVARS, VARIABLES,
-                     decode, encode, key_exp, key_var, key_mul, key_inv,
-                     pmul, pone)
+from collections import Counter
+
+from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, VARIABLES, decode, encode,
+                     key_exp, key_var, key_inv, padd, psub, pneg, pmul, ppow,
+                     padams, pone)
 
 _A_INDEX = VARIABLES.index("a")
 # key steps of the weights t1 and t2: t1^i t2^j is KEY_ONE + i*_DT1 + j*_DT2
@@ -128,11 +134,7 @@ class Character:
     @staticmethod
     def from_weights(ws):
         """Build from an iterable of monomial Scalars (multiplicity 1 each)."""
-        d = {}
-        for w in ws:
-            k = _weight_key(w)
-            d[k] = d.get(k, 0) + 1
-        return Character(d)
+        return Character(Counter(map(_weight_key, ws)))
 
     def rank(self):
         return sum(self.weights.values())
@@ -146,98 +148,69 @@ class Character:
     __hash__ = None
 
     def __add__(self, other):
-        d = dict(self.weights)
-        for k, m in other.weights.items():
-            s = d.get(k, 0) + m
-            if s:
-                d[k] = s
-            else:
-                del d[k]
-        return Character(d)
+        return Character(padd(self.weights, other.weights))
 
     def __neg__(self):
-        return Character({k: -m for k, m in self.weights.items()})
+        return Character(pneg(self.weights))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Character(psub(self.weights, other.weights))
 
     def __mul__(self, other):
         """Tensor product."""
-        d = {}
-        for k1, m1 in self.weights.items():
-            for k2, m2 in other.weights.items():
-                k = key_mul(k1, k2)
-                s = d.get(k, 0) + m1 * m2
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return Character(d)
+        return Character(pmul(self.weights, other.weights))
 
     def dual(self):
-        return Character({key_inv(k): m for k, m in self.weights.items()})
+        """Invert every weight: the Adams operation with n = -1."""
+        return self.adams(-1)
 
     def scale(self, w):
         """Multiply every weight by a monomial Scalar."""
-        k0 = _weight_key(w)
-        return Character({key_mul(k, k0): m for k, m in self.weights.items()})
+        return Character(pmul(self.weights, {_weight_key(w): 1}))
 
     def adams(self, n):
         """Raise every weight to the n-th power."""
-        return Character({encode(tuple(e * n for e in decode(k))): m
-                          for k, m in self.weights.items()})
+        return Character(padams(self.weights, n))
 
     def a_part(self, sign):
         """Sub-character with a-exponent <0, ==0 or >0 according to sign."""
-        out = {}
-        for k, m in self.weights.items():
-            e = key_exp(k, _A_INDEX)
-            if (sign < 0 and e < 0) or (sign == 0 and e == 0) or \
-               (sign > 0 and e > 0):
-                out[k] = m
-        return Character(out)
+        sign = (sign > 0) - (sign < 0)
+        return Character({k: m for k, m in self.weights.items()
+                          if ((e := key_exp(k, _A_INDEX)) > 0) - (e < 0)
+                          == sign})
+
+    def _det_key(self):
+        # k - KEY_ONE is linear in the exponents of k, so keys multiply by
+        # adding, as in pmul
+        return KEY_ONE + sum(m * (k - KEY_ONE)
+                             for k, m in self.weights.items())
 
     def det(self):
         """Product of weights with multiplicity, a monomial Scalar."""
-        exps = [0] * NVARS
-        for k, m in self.weights.items():
-            for i, e in enumerate(decode(k)):
-                exps[i] += e * m
-        return Scalar({encode(tuple(exps)): 1})
+        return Scalar({self._det_key(): 1})
 
     def sqrt_monomial(self):
         """Square root of det(self); stays on the half-integer lattice."""
-        exps = [0] * NVARS
-        for k, m in self.weights.items():
-            for i, e in enumerate(decode(k)):
-                exps[i] += e * m
+        exps = decode(self._det_key())
         if any(e % 2 for e in exps):
             raise ValueError("determinant is not a square on the half lattice")
         return Scalar({encode(tuple(e // 2 for e in exps)): 1})
 
-    def lambda_factors(self):
-        """Factor lists for prod (1 - w^{-1})^mult: (numerator, denominator).
-
-        Each factor is a two-term polynomial dict; positive multiplicities go
-        to the numerator list, negative to the denominator list.
-        """
-        num, den = [], []
-        for k, m in self.weights.items():
-            if k == KEY_ONE:
-                raise ValueError("trivial weight has no Koszul factor")
-            fac = {KEY_ONE: 1, key_inv(k): -1}
-            (num if m > 0 else den).extend([fac] * abs(m))
-        return num, den
-
     def lambda_dot(self):
-        """K-theoretic Euler class prod (1 - w^{-1})^mult as a Scalar."""
-        num_f, den_f = self.lambda_factors()
-        num = pone()
-        for f in num_f:
-            num = pmul(num, f)
-        den = pone()
-        for f in den_f:
-            den = pmul(den, f)
+        """K-theoretic Euler class prod (1 - w^{-1})^mult as a Scalar.
+
+        Positive multiplicities go to the numerator, negative ones to the
+        denominator; the empty character gives ONE.
+        """
+        if KEY_ONE in self.weights:
+            raise ValueError("trivial weight has no Koszul factor")
+        num, den = pone(), pone()
+        for k, m in self.weights.items():
+            f = ppow({KEY_ONE: 1, key_inv(k): -1}, abs(m))
+            if m > 0:
+                num = pmul(num, f)
+            else:
+                den = pmul(den, f)
         return Scalar(num, den)
 
     def render(self):
@@ -276,25 +249,20 @@ def tangent_hilb(lam, orientation="arms_t1"):
 
     orientation chooses which axis pairs with arm lengths; "arms_t1" is the
     calibrated default (the unique choice under which the Fock-space kernel
-    identity holds, see checks.calibrate).
+    identity holds, see checks.calibrate).  "arms_t2" swaps t1 and t2, which
+    is "arms_t1" at the conjugate partition.
     """
+    if orientation == "arms_t2":
+        lam = conjugate(lam)
+    elif orientation != "arms_t1":
+        raise ValueError(f"unknown orientation {orientation!r}")
     d = {}
     for (r, c) in boxes(lam):
         a_, l_ = arm(lam, r, c), leg(lam, r, c)
-        if orientation == "arms_t1":
-            pairs = (((a_ + 1), -l_), (-a_, l_ + 1))
-        elif orientation == "arms_t2":
-            pairs = ((-l_, (a_ + 1)), (l_ + 1, -a_))
-        else:
-            raise ValueError(f"unknown orientation {orientation!r}")
-        for (e1, e2) in pairs:
+        for (e1, e2) in ((a_ + 1, -l_), (-a_, l_ + 1)):
             k = KEY_ONE + e1 * _DT1 + e2 * _DT2
             d[k] = d.get(k, 0) + 1
     return Character(d)
-
-
-def framing_character(framing):
-    return Character.from_weights(framing)
 
 
 def framing_M2():
@@ -317,10 +285,8 @@ def polarization_M2(lam1, lam2, variant="canonical"):
     """
     framing = framing_M2()
     V = taut_character((lam1, lam2), framing)
-    W = framing_character(framing)
+    W = Character.from_weights(framing)
     t2 = Scalar.var("t2")
-    if V.is_zero():
-        return Character()
     VsV = V.dual() * V
     if variant == "canonical":
         half = W * V.dual() + VsV.scale(t2) - VsV
@@ -341,24 +307,17 @@ def tangent_M2(lam1, lam2, variant="canonical"):
 
 
 def o_line_eigen(lam1, lam2, which="full"):
-    """Eigenvalue of multiplication by the line bundle O(-1) at ((lam1, lam2)).
+    """Eigenvalue of multiplication by the line bundle O(-1) = det V* at
+    ((lam1, lam2)).
 
     full:   a^(-|lam1|) * prod over both diagrams of t1^(1-j) t2^(1-i);
     first / second: the single-diagram factor without the a-power.
     """
-    def diagram_factor(lam):
-        e1 = sum(-c for (_, c) in boxes(lam))
-        e2 = sum(-r for (r, _) in boxes(lam))
-        return Scalar.monomial(t1=2 * e1, t2=2 * e2)
-
-    if which == "first":
-        return diagram_factor(lam1)
-    if which == "second":
-        return diagram_factor(lam2)
-    if which != "full":
+    parts = {"full": ((lam1, lam2), framing_M2()),
+             "first": ((lam1,), (ONE,)), "second": ((lam2,), (ONE,))}
+    if which not in parts:
         raise ValueError(f"unknown component {which!r}")
-    return Scalar.monomial(a=-2 * size(lam1)) * diagram_factor(lam1) \
-        * diagram_factor(lam2)
+    return taut_character(*parts[which]).dual().det()
 
 
 def chern_eigen(lams, framing, k):
@@ -399,17 +358,13 @@ def delta_11(lam1, lam2, variant="proof"):
     so the limit check can report which one validates.
     """
     n = size(lam1) + size(lam2)
-    if n == 0:
-        return ONE
     half = polarization_M2(lam1, lam2, variant)
     tangent = half + half.dual().scale(HBAR)
     n_minus = tangent.a_part(-1)
-    euler = n_minus.lambda_dot() if not n_minus.is_zero() else ONE
+    euler = n_minus.lambda_dot()
     hbar_pow = HBAR ** (-n)
     if variant == "proof":
-        repelling_half = half.a_part(-1)
-        det_rep = repelling_half.det() if not repelling_half.is_zero() else ONE
-        return hbar_pow * det_rep.inverse() * euler
+        return hbar_pow * half.a_part(-1).det().inverse() * euler
     if variant == "four_term":
         nontrivial = (half.a_part(-1) + half.a_part(1))
         ratio = n_minus - nontrivial  # det(N^-)/det(T_{!=0}) as a character

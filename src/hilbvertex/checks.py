@@ -556,9 +556,13 @@ def capped_vertex_table(n, basis=None):
 
 
 def check_rationality(n=3):
-    """Rationality of the capped vertex functions in every degree 1..n: the
-    shifted form of each table is q-free.  Its den is candidate_denominator
-    by construction; reduced entries would need _divides_zpoly here again."""
+    """Rationality of the capped vertex functions in every degree 1..n.
+
+    Decides whether the shifted form of each table, num and den rewritten
+    in w = z hbar / q, is free of q (the table's q_free).  The den of every
+    entry is candidate_denominator(n) itself, by construction (see
+    capped_vertex_table), so whether den divides the candidate is not
+    tested again."""
     degrees = list(range(1, n + 1))
 
     def run():

@@ -53,10 +53,11 @@ MAX_TERMS = 4_000_000
 
 
 class LimitError(ArithmeticError):
-    """Raised by a_limit when the value has a pole at a=0."""
+    """Raised by limit_at_zero when the value has a pole at name=0."""
 
-    def __init__(self, valuation):
-        super().__init__(f"limit does not exist: a-valuation {valuation} < 0")
+    def __init__(self, name, valuation):
+        super().__init__(
+            f"limit does not exist: {name}-valuation {valuation} < 0")
         self.valuation = valuation
 
 
@@ -242,10 +243,13 @@ def plead(f):
 
 
 def padams(f, n):
-    """Raise every variable to the n-th power (ring homomorphism)."""
-    if n == 1:
-        return dict(f)
-    return {encode(tuple(e * n for e in decode(k))): c for k, c in f.items()}
+    """Raise every variable to the n-th power (ring homomorphism).
+
+    k - KEY_ONE is linear in the exponents of k, so the key of the n-th
+    power is KEY_ONE + n (k - KEY_ONE); as in pmul, the exponents are
+    trusted to stay in the packed range.
+    """
+    return {KEY_ONE + n * (k - KEY_ONE): c for k, c in f.items()}
 
 
 def _key_ge(a, b):
@@ -565,14 +569,6 @@ class Scalar:
         s = _FIELD_BITS * iv
         return min([(k >> s) & _MASK for k in poly]) - _BIAS
 
-    def valuation(self, name):
-        """Order of vanishing at name=0, as a Fraction (half-integers allowed)."""
-        if not self.num:
-            raise ZeroDivisionError(f"valuation of zero at {name}=0")
-        iv = VARIABLES.index(name)
-        return Fraction(Scalar._var_min(self.num, iv)
-                        - Scalar._var_min(self.den, iv), 2)
-
     def limit_at_zero(self, name):
         """Value at name=0; raises LimitError when the valuation is negative."""
         if not self.num:
@@ -581,7 +577,7 @@ class Scalar:
         vn = Scalar._var_min(self.num, iv)
         vd = Scalar._var_min(self.den, iv)
         if vn < vd:
-            raise LimitError(Fraction(vn - vd, 2))
+            raise LimitError(name, Fraction(vn - vd, 2))
         if vn > vd:
             return Scalar(pzero())
         # keep the terms of lowest degree in the variable, divided by it
@@ -638,7 +634,6 @@ Q = Scalar.var("q")
 U = Scalar.var("u")
 A = Scalar.var("a")
 HBAR = T1 * T2
-HBAR_SQRT = Scalar.monomial(t1=1, t2=1)
 
 
 # ---------------------------------------------------------------------------

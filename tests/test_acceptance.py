@@ -8,9 +8,9 @@ single laptop-class core.
 import random
 import time
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
+from hilbvertex.scalar import Scalar, ZERO, ONE, T2
 from hilbvertex.series import Series, rational_reconstruct
-from hilbvertex.characters import partitions, size, fixed_points_rank2
+from hilbvertex.characters import partitions, fixed_points_rank2
 from hilbvertex.fock import (FockElement, TensorFockElement, heis,
                              heis_denominator, jj0_substitute)
 from hilbvertex.macdonald import (macd_H_axioms, macd_H_gram_schmidt)

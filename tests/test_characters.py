@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR
+from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, A, HBAR
 from hilbvertex.characters import (Character, partitions, conjugate, size,
                                    boxes, arm, leg, taut_character,
                                    tangent_hilb, polarization_M2, tangent_M2,
@@ -79,6 +79,9 @@ def test_tangent_swap_conjugate_symmetry():
     for n in range(7):
         for lam in partitions(n):
             assert swapped(tangent_hilb(lam)) == tangent_hilb(conjugate(lam))
+            assert swapped(tangent_hilb(lam)) == tangent_hilb(lam, "arms_t2")
+    with pytest.raises(ValueError):
+        tangent_hilb((1,), "arms_t3")
 
 
 def test_lambda_dot_examples():
@@ -129,6 +132,8 @@ def test_o_line_examples():
     assert o_line_eigen((), ()) == ONE
     assert o_line_eigen((2, 1), (), "first") == \
         o_line_eigen((), (2, 1), "second")
+    with pytest.raises(ValueError):
+        o_line_eigen((1,), (), "third")
 
 
 def test_chern_examples():
@@ -181,6 +186,7 @@ def test_chern_matches_the_elementary_symmetric_sum():
 
 def test_delta_trivial():
     assert delta_11((), ()) == ONE
+    assert delta_11((), (), "four_term") == ONE
 
 
 def test_delta_is_monomial_times_koszul():

@@ -2,20 +2,19 @@ import json
 
 import pytest
 
-from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                               pdivexact)
+from hilbvertex.scalar import ZERO, ONE, T1, T2, Q, U, HBAR, pdivexact
 from hilbvertex.series import Series, rational_reconstruct
 from hilbvertex.characters import partitions
 from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
                              jj0_substitute, project_second, pexp)
-from hilbvertex.macdonald import MacdonaldBasis
+from hilbvertex.macdonald import MacdonaldBasis, star_weight
 from hilbvertex import checks
 from hilbvertex.checks import (check_kernel_identity, check_mellit,
                                check_osum, check_ook, check_main,
                                check_degenerate_slice, check_rationality,
                                check_prop1, check_prop4, closed_F, build_F,
                                capped_vertex_table, candidate_denominator,
-                               calibrate, run_check)
+                               run_check)
 
 
 def den1():
@@ -368,6 +367,33 @@ def test_rationality_small():
     assert rep.passed
     assert rep.orders == {"n": 2}
     assert rep.details["degrees"] == [1, 2]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_vertex_table_at_z0_is_the_mellit_eigenvalue(n):
+    # at z = 0 the closed exponents c_k are the Mellit exponents A_k, so the
+    # vertex route meets the localization check of check_mellit
+    for lam, (num, den) in capped_vertex_table(n).entries.items():
+        assert den[0] == ONE
+        assert num.get(0, ZERO) == checks.mellit_eigenvalue(lam)
+
+
+def test_star_weight_cancels_the_exponent_denominators():
+    # exp_pairings, pairings and capped_vertex_table rely on this: reduced()
+    # keeps the fraction silently when the exact division fails
+    N = 8
+    families = ((checks.kernel_exponents(N), lambda k: ONE),
+                (checks.mellit_exponents(N), lambda k: ONE - U ** k),
+                (checks.osum_exponents(N), lambda k: (-1) ** k * ONE))
+    for k in range(1, N + 1):
+        A_k, B_k = checks._closed_exponent_parts(k)
+        cases = [(c[k], f(k)) for c, f in families]
+        cases += [(A_k, ONE - U ** k),
+                  (B_k, Q ** -k * (HBAR ** k - HBAR ** -k))]
+        for c, f in cases:
+            g = (c * star_weight((k,))).reduced()
+            assert len(g.den) == 1
+            assert g == (-1) ** (k - 1) * f
 
 
 @pytest.mark.parametrize("n", range(5))

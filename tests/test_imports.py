@@ -4,6 +4,7 @@ import pathlib
 import hilbvertex
 
 PACKAGE = pathlib.Path(hilbvertex.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 # module -> imported names that stay although the module never uses them
 KEPT = {
@@ -26,10 +27,11 @@ def _unused_imports(source):
 def test_no_module_imports_a_name_it_does_not_use():
     assert _unused_imports("import math\nfrom os import path, sep\n"
                            "print(sep)\n") == {"math", "path"}
-    # __init__ imports to export, so only the other modules are scanned
+    # __init__ imports to export, so it is the one file not scanned
     modules = [p for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"]
-    assert modules
-    for path in modules:
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    for path in modules + tests:
         unused = _unused_imports(path.read_text())
         assert unused == KEPT.get(path.stem, set()), path.name

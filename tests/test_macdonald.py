@@ -6,8 +6,7 @@ from math import factorial, prod
 
 import pytest
 
-from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, decode, encode,
-                               InconsistentSystemError)
+from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, decode, encode
 from hilbvertex.characters import partitions, conjugate
 from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,

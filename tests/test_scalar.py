@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                               HBAR_SQRT, LimitError, KEY_ONE, decode, encode,
+                               LimitError, KEY_ONE, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
                                _printed, prender, _MONOMIALS, VARIABLES,
                                pmul, pmul_int, pone, pconst, padd, psub,
-                               key_exp, key_mul, bareiss_det, invert_matrix,
-                               solve_poly_system, InconsistentSystemError)
+                               padams, key_exp, key_mul, bareiss_det,
+                               invert_matrix, solve_poly_system,
+                               InconsistentSystemError)
 
 rng = random.Random(20240817)
 
@@ -41,7 +42,6 @@ def test_hbar_is_t1_t2():
 
 
 def test_half_exponent_closure():
-    assert HBAR_SQRT * HBAR_SQRT == HBAR
     assert Scalar.monomial(t1=1) ** 2 == T1
 
 
@@ -100,12 +100,6 @@ def test_adams_is_multiplicative_and_composes():
         assert x.adams(j).adams(k) == x.adams(j * k)
 
 
-def test_a_valuation_examples():
-    assert (A ** 2 * T1).valuation("a") == 2
-    assert (ONE / (A * (ONE - T1))).valuation("a") == -1
-    assert (ONE - A * T2).valuation("a") == 0
-
-
 def test_a_limit_examples():
     assert (A * T1 + T2).a_limit() == T2
     # 1/(1 - t1/a) = a/(a - t1) vanishes at a = 0
@@ -113,18 +107,19 @@ def test_a_limit_examples():
     with pytest.raises(LimitError) as err:
         (ONE / A).a_limit()
     assert err.value.valuation == -1
+    assert "a-valuation -1" in str(err.value)
 
 
 def test_limit_at_zero_in_other_variables():
     # the lowest u-degree terms of num and den, divided by their u-power
     x = (U * T1 + U ** 2) / (U * (ONE + T2) + U ** 3 * Q)
-    assert x.valuation("u") == 0
     assert x.limit_at_zero("u") == T1 / (ONE + T2)
     assert (U / (T1 + U)).limit_at_zero("u") == ZERO
     # half-integer valuations come from the doubled exponents
     with pytest.raises(LimitError) as err:
         (T1 / (Scalar.monomial(u=1) + U)).limit_at_zero("u")
     assert err.value.valuation == Fraction(-1, 2)
+    assert "u-valuation -1/2" in str(err.value)
 
 
 @given(st.lists(st.integers(-(1 << 19), (1 << 19) - 1), min_size=5,
@@ -134,6 +129,14 @@ def test_key_exp_reads_one_field(exps):
     assert [key_exp(key, i) for i in range(5)] == exps
 
 
+@given(st.lists(st.integers(-(1 << 16), 1 << 16), min_size=5, max_size=5),
+       st.integers(-7, 7))
+def test_padams_scales_every_exponent(exps, n):
+    # n * e stays inside the packed range, |n e| < 2^19
+    want = {encode(tuple(n * e for e in exps)): 3}
+    assert padams({encode(tuple(exps)): 3}, n) == want
+
+
 def test_a_limit_agrees_with_a_adic_constant_term():
     # at valuation zero the limit is the a^0 coefficient of the expansion
     for _ in range(20):
@@ -141,7 +144,6 @@ def test_a_limit_agrees_with_a_adic_constant_term():
         f1 = rand_scalar()
         g0 = rand_nonzero()
         x = (f0 + A * f1) / (g0 + A * rand_scalar())
-        assert x.valuation("a") == 0
         assert x.a_limit() == f0 / g0
 
 
