@@ -310,11 +310,11 @@ def o_line_eigen(lam1, lam2, which="full"):
     """Eigenvalue of multiplication by the line bundle O(-1) = det V* at
     ((lam1, lam2)).
 
-    full:   a^(-|lam1|) * prod over both diagrams of t1^(1-j) t2^(1-i);
-    first / second: the single-diagram factor without the a-power.
+    full:  a^(-|lam1|) * prod over both diagrams of t1^(1-j) t2^(1-i);
+    first: the factor of lam1 alone, without the a-power.
     """
     parts = {"full": ((lam1, lam2), framing_M2()),
-             "first": ((lam1,), (ONE,)), "second": ((lam2,), (ONE,))}
+             "first": ((lam1,), (ONE,))}
     if which not in parts:
         raise ValueError(f"unknown component {which!r}")
     return taut_character(*parts[which]).dual().det()

@@ -37,7 +37,8 @@ from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import MAX_DEGREE, default_basis, star_weight
+from .macdonald import (MAX_DEGREE, default_basis, euler_hilb, norm, ratio,
+                        star_weight)
 
 _Q_INDEX = VARIABLES.index("q")
 
@@ -159,57 +160,54 @@ def osum_eigenvalue(lam):
 # localization-vs-exponential checks
 # ---------------------------------------------------------------------------
 
-def _compare_by_degree(basis, eig, c, N, orientation):
+def _compare_by_degree(eig, c, N, orientation):
     """Check sum_lam eig(lam) H_lam / Euler(lam) == exp(sum_k c_k p_k) in
-    each degree n <= N.
+    each degree n <= N, on the shared basis.
 
     The identity holds in degree n exactly when, at every fixed point lam,
     the H_lam coefficients agree: <exp, H_lam>_* / w_lam == eig(lam) /
-    Euler(lam).  basis.exp_pairings certifies the basis and pairs the
-    exponential through its exponents c_k, so the exponential is never
-    expanded.  The equality is tested as p * (Euler(lam) / w_lam) ==
-    eig(lam), with the ratio held reduced on the basis.  Only the Euler
-    factor depends on the tangent orientation.
+    Euler(lam).  exp_pairings certifies the basis and pairs the exponential
+    through its exponents c_k, so the exponential is never expanded.  The
+    equality is tested as p * ratio(lam, orientation) == eig(lam), with
+    ratio = Euler(lam) / w_lam the cached function of macdonald.py.  Only
+    the Euler factor depends on the tangent orientation.
     """
     for n in range(N + 1):
-        for lam, p in basis.exp_pairings(c, n).items():
-            if p * basis.ratio(lam, orientation) != eig(lam):
+        for lam, p in default_basis().exp_pairings(c, n).items():
+            if p * ratio(lam, orientation) != eig(lam):
                 return "mismatch", {
                     "degree": n,
                     "fixed_point": list(lam),
                     "localization_side": (
-                        eig(lam) / basis.euler(lam, orientation)).render(),
-                    "exponential_side": (p / basis.norm(lam)).render(),
+                        eig(lam) / euler_hilb(lam, orientation)).render(),
+                    "exponential_side": (p / norm(lam)).render(),
                 }
     return "exact-match", {"degrees_checked": N}
 
 
-def _localization_check(name, eig, c, N, orientation, basis, conv):
-    """A localization check, on the shared basis unless one is given."""
-    basis = basis or default_basis()
+def _localization_check(name, eig, c, N, orientation, conv):
     return _timed(name, {"y": N},
-                  lambda: _compare_by_degree(basis, eig, c, N, orientation),
+                  lambda: _compare_by_degree(eig, c, N, orientation),
                   dict(conv, tangent_orientation=orientation))
 
 
-def check_kernel_identity(N=5, orientation="arms_t1", basis=None):
+def check_kernel_identity(N=5, orientation="arms_t1"):
     return _localization_check(
         "kernel_identity", lambda lam: ONE, kernel_exponents(N), N,
-        orientation, basis,
-        {"euler_weights": DEFAULT_CONVENTIONS["euler_weights"]})
+        orientation, {"euler_weights": DEFAULT_CONVENTIONS["euler_weights"]})
 
 
-def check_mellit(N=4, orientation="arms_t1", basis=None):
+def check_mellit(N=4, orientation="arms_t1"):
     return _localization_check(
         "mellit_generating_function", mellit_eigenvalue, mellit_exponents(N),
-        N, orientation, basis,
+        N, orientation,
         {"mellit_descendent": DEFAULT_CONVENTIONS["mellit_descendent"]})
 
 
-def check_osum(N=5, orientation="arms_t1", basis=None):
+def check_osum(N=5, orientation="arms_t1"):
     return _localization_check(
         "structure_sheaf_series", osum_eigenvalue, osum_exponents(N), N,
-        orientation, basis,
+        orientation,
         {"osum_eigenvalue": DEFAULT_CONVENTIONS["osum_eigenvalue"],
          "sign_transport": "the (-1)^k exponential equals the kernel "
                            "exponential under p_k -> (-1)^k p_k (y -> -y)"})
@@ -507,16 +505,17 @@ def is_q_free(x):
             == pmul(x.num, _q_euler(x.den)))
 
 
-def capped_vertex_table(n, basis=None):
+def capped_vertex_table(n):
     """The degree-n fixed-point restrictions of the closed form, exactly in z.
 
     The restriction at lam is the pairing <F_n, H_lam>_* of the y^n slice of
-    closed_F times basis.ratio(lam), a monomial.  By the Cauchy identity (see
-    MacdonaldBasis.exp_pairings) the pairing is sum_rho H_lam,rho g_rho, with
-    g_rho = prod_{k in rho} g_k and g_k = star_weight((k,)) c_k.  Each c_k is
-    A_k + B_k z^k / (1 - w^k), w = z hbar / q, so g_k = N_k / (1 - w^k) with
-    the two-term z-polynomial N_k = a_k + (b_k - a_k (hbar/q)^k) z^k, where
-    a_k and b_k are star_weight((k,)) A_k and B_k, reduced.  Every
+    closed_F times ratio(lam, "arms_t1") (macdonald.py), a monomial.  By the
+    Cauchy identity (see MacdonaldBasis.exp_pairings) the pairing is sum_rho
+    H_lam,rho g_rho, with g_rho = prod_{k in rho} g_k and g_k =
+    star_weight((k,)) c_k.  Each c_k is A_k + B_k z^k / (1 - w^k), w = z
+    hbar / q, so g_k = N_k / (1 - w^k) with the two-term z-polynomial N_k =
+    a_k + (b_k - a_k (hbar/q)^k) z^k, where a_k and b_k are
+    star_weight((k,)) A_k and B_k, reduced.  Every
     prod_{k in rho} (1 - w^k) divides D_n = candidate_denominator(n), so the
     entry is
 
@@ -530,7 +529,7 @@ def capped_vertex_table(n, basis=None):
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
-    basis = basis or default_basis()
+    basis = default_basis()
     basis.certify(n)
     N = {}
     for k in range(1, n + 1):
@@ -547,8 +546,8 @@ def capped_vertex_table(n, basis=None):
         for rho, h in basis.H(lam).coeffs.items():
             for d, c in terms[rho].items():
                 num[d] = c * h + num[d] if d in num else c * h
-        ratio = basis.ratio(lam)
-        num = {d: c * ratio for d, c in num.items() if c}
+        r = ratio(lam, "arms_t1")
+        num = {d: c * r for d, c in num.items() if c}
         entries[lam] = (num, den)
         q_free = q_free and all(is_q_free(c) for part in (num, den)
                                 for c in _zpoly_sub_w(part).values())

@@ -20,6 +20,8 @@ multiplication by -p_|k| / d_|k| for k < 0 where
 d_k = (t1^(k/2) - t1^(-k/2)) (t2^(k/2) - t2^(-k/2)).
 """
 
+from functools import cache
+
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
 from .characters import partitions
@@ -213,10 +215,9 @@ def exp_linear(c, N, one=None):
     return FockElement(out, N)
 
 
-def _partitions_cached(n, _cache={}):
-    if n not in _cache:
-        _cache[n] = partitions(n)
-    return _cache[n]
+@cache
+def _partitions_cached(n):
+    return partitions(n)
 
 
 def plethystic_exponents(c1, N):

@@ -24,12 +24,14 @@ Newton-Girard writes p_k in the h_lam, and Hall duality of m and h turns
 that into m_to_p; Murnaghan-Nakayama gives the integer characters of S_n in
 character_table, and s_lam = sum_rho chi^lam(rho) p_rho / z_rho.
 
-Also here: the calibrated fixed-point Euler factor (the tangent character
-with every weight squared, fed to the Koszul product), decomposition into
-the H-basis, and the localization sum over fixed points of a given degree.
-The identity checks do not expand that sum: they pair each side with one
-H_lam at a time (see below), and localization_sum is the direct reference
-sum they are tested against.
+Also here: the fixed-point factors as cached functions of lam (the Euler
+factor, the tangent character with every weight squared fed to the Koszul
+product; the norm w_lam below; their ratio), and MacdonaldBasis, which
+holds H_lam and its certificate.  On it rest decomposition into the H-basis
+and the localization sum over fixed points of a given degree.  The identity
+checks do not expand that sum: they pair each side with one H_lam at a time
+(see below), and localization_sum is the direct reference sum they are
+tested against.
 
 Decomposition uses the Garsia-Haiman *-scalar product
 
@@ -47,7 +49,7 @@ off the exponents without expanding the exponential.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -471,6 +473,7 @@ def macd_H_axioms(n):
 # calibrated Euler factor of the fixed points
 # ---------------------------------------------------------------------------
 
+@cache
 def euler_hilb(lam, orientation="arms_t1"):
     """Fixed-point Euler class: Koszul product of the squared tangent weights."""
     return tangent_hilb(lam, orientation).adams(2).lambda_dot()
@@ -480,6 +483,7 @@ def euler_hilb(lam, orientation="arms_t1"):
 # the Garsia-Haiman *-scalar product
 # ---------------------------------------------------------------------------
 
+@cache
 def star_weight(rho):
     """<p_rho, p_rho>_* of the Garsia-Haiman *-scalar product."""
     w = Scalar.from_int((-1) ** (sum(rho) - len(rho)) * z_mu(rho))
@@ -488,6 +492,7 @@ def star_weight(rho):
     return w
 
 
+@cache
 def norm(lam):
     """w_lam = <H_lam, H_lam>_* = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1))."""
     w = ONE
@@ -498,22 +503,32 @@ def norm(lam):
     return w
 
 
+@cache
+def ratio(lam, orientation):
+    """euler_hilb(lam, orientation) / norm(lam), reduced.
+
+    A pairing <f, H_lam>_* times this ratio is the restriction of f to the
+    fixed point lam.  In arms_t1 it is the monomial t1^(2n(lam'))
+    t2^(2n(lam)) (checked for |lam| <= 7).  The division stays general: in
+    arms_t2 the ratio is a monomial only at the self-conjugate lam.
+    """
+    return (euler_hilb(lam, orientation) / norm(lam)).reduced()
+
+
 # ---------------------------------------------------------------------------
-# the cached basis and fixed-point calculus
+# the cached basis
 # ---------------------------------------------------------------------------
 
 class MacdonaldBasis:
-    """Per-degree cache of H_lam with decomposition and localization sums.
+    """Per-degree cache of H_lam and its certificate, with the pairings,
+    decomposition and localization sums that rest on them.
 
-    H_lam, its certificate and w_lam do not depend on the tangent orientation,
-    only the Euler factor does: euler, ratio and localization_sum take it."""
+    The fixed-point factors are the cached functions norm, euler_hilb and
+    ratio; only the last two, and localization_sum, take the orientation."""
 
     def __init__(self):
         self._H = {}
         self._certified = set()
-        self._norms = {}
-        self._eulers = {}
-        self._ratios = {}
 
     def build_degree(self, n):
         if n > MAX_DEGREE:
@@ -559,59 +574,23 @@ class MacdonaldBasis:
                     f"coefficient is not 1")
         self._certified.add(n)
 
-    def norm(self, lam):
-        """w_lam (module-level norm), computed once per basis."""
-        got = self._norms.get(lam)
-        if got is None:
-            got = self._norms[lam] = norm(lam)
-        return got
-
-    def euler(self, lam, orientation="arms_t1"):
-        """euler_hilb(lam, orientation), computed once per orientation."""
-        key = (lam, orientation)
-        got = self._eulers.get(key)
-        if got is None:
-            got = self._eulers[key] = euler_hilb(lam, orientation)
-        return got
-
-    def ratio(self, lam, orientation="arms_t1"):
-        """euler(lam, orientation) / norm(lam), reduced, computed once.
-
-        A pairing <f, H_lam>_* times this ratio is the restriction of f to
-        the fixed point lam.
-        """
-        key = (lam, orientation)
-        got = self._ratios.get(key)
-        if got is None:
-            got = self._ratios[key] = (self.euler(lam, orientation)
-                                       / self.norm(lam)).reduced()
-        return got
-
     def pairings(self, f, n):
         """{lam: <f, H_lam>_*} for the degree-n slice of f.
 
         Certifies the basis first: these give the H_lam coefficients only on
         the basis the axioms determine.  f is a FockElement with Scalar or
-        Series coefficients.  Every term f_rho H_lam,rho <p_rho, p_rho>_* is
-        reduced on its own: the weight cancels the (1-t1^2k)(1-t2^2k)
-        denominators of the generating functions, so the terms, and with them
-        the pairings, are Laurent polynomials over an integer.  This is the
-        route for a general f; an exponential of a form linear in the p_k
-        pairs faster through exp_pairings.
+        Series coefficients.  Each f_rho <p_rho, p_rho>_* is reduced once:
+        the weight cancels the (1-t1^2k)(1-t2^2k) denominators of the
+        generating functions, so these terms, and with them the pairings,
+        are Laurent polynomials over an integer.  This is the route for a
+        general f; an exponential of a form linear in the p_k pairs faster
+        through exp_pairings.
         """
         self.certify(n)
-        weights = {rho: star_weight(rho) for rho in partitions(n)}
-        out = {}
-        for lam, H in self._H[n].items():
-            total = ZERO
-            for rho, h in H.items():
-                c = f.coeffs.get(rho)
-                if c is not None:
-                    total = (c * (h * weights[rho])).reduced() + total
-            out[lam] = total
-        return out
+        return self._pair(n, {rho: (f.coeffs[rho] * star_weight(rho)).reduced()
+                              for rho in partitions(n) if rho in f.coeffs})
 
-    def exp_pairings(self, c, n, one=None):
+    def exp_pairings(self, c, n):
         """{lam: <exp(sum_k c_k p_k), H_lam>_*} in degree n, from the c_k.
 
         The p_rho coefficient of the exponential is prod_k c_k^m_k / m_k!,
@@ -622,18 +601,20 @@ class MacdonaldBasis:
         *-product).  Each g_k is reduced once, each g_rho formed once and
         shared by every lam, and the exponential is never expanded.  `c`
         maps k to Scalar or Series exponents, as for fock.exp_linear; a
-        missing c_k is zero, and `one` is the value of the empty product
-        (ONE by default).  Certifies the basis first, as pairings does.
+        missing c_k is zero, and the empty product is ONE.  Certifies the
+        basis first, as pairings does.
         """
         self.certify(n)
-        if one is None:
-            one = ONE
         g = {k: (ck * star_weight((k,))).reduced()
              for k, ck in c.items() if k <= n}
-        terms = {(): one}
+        terms = {(): ONE}
         for rho in partitions(n):
             if rho and all(k in g for k in rho):
                 terms[rho] = reduce(mul, [g[k] for k in rho])
+        return self._pair(n, terms)
+
+    def _pair(self, n, terms):
+        """{lam: sum_rho H_lam,rho terms[rho]}, a missing term being zero."""
         out = {}
         for lam, H in self._H[n].items():
             total = ZERO
@@ -649,7 +630,7 @@ class MacdonaldBasis:
 
         By orthogonality c_lam = <f, H_lam>_* / w_lam; see pairings and norm.
         """
-        return {lam: p * self.norm(lam).inverse()
+        return {lam: p * norm(lam).inverse()
                 for lam, p in self.pairings(f, n).items()}
 
     def localization_sum(self, eig, n, orientation="arms_t1"):
@@ -661,7 +642,7 @@ class MacdonaldBasis:
         total = FockElement.zero(n)
         for lam in partitions(n):
             total = total + self.H(lam) * (eig(lam)
-                                           / self.euler(lam, orientation))
+                                           / euler_hilb(lam, orientation))
         return total
 
 

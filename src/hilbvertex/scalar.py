@@ -90,10 +90,6 @@ def key_exp(key, i):
     return ((key >> (_FIELD_BITS * i)) & _MASK) - _BIAS
 
 
-def key_mul(k1, k2):
-    return k1 + k2 - KEY_ONE
-
-
 def key_inv(k):
     return 2 * KEY_ONE - k
 

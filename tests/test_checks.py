@@ -2,12 +2,15 @@ import json
 
 import pytest
 
-from hilbvertex.scalar import ZERO, ONE, T1, T2, Q, U, HBAR, pdivexact
+from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, HBAR,
+                               pdivexact)
 from hilbvertex.series import Series, rational_reconstruct
-from hilbvertex.characters import partitions
+from hilbvertex.characters import partitions, boxes
 from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
                              jj0_substitute, project_second, pexp)
-from hilbvertex.macdonald import MacdonaldBasis, star_weight
+from hilbvertex import macdonald
+from hilbvertex.macdonald import (MacdonaldBasis, default_basis, ratio,
+                                  star_weight)
 from hilbvertex import checks
 from hilbvertex.checks import (check_kernel_identity, check_mellit,
                                check_osum, check_ook, check_main,
@@ -28,8 +31,8 @@ def test_kernel_small_orders():
 
 
 def test_kernel_wrong_orientation_witness_at_y2():
-    # a supplied basis carries no orientation: the one passed is the one used
-    rep = check_kernel_identity(2, "arms_t2", basis=MacdonaldBasis())
+    # the shared basis carries no orientation: the one passed is the one used
+    rep = check_kernel_identity(2, "arms_t2")
     assert not rep.passed
     assert rep.outcome == "mismatch"
     assert rep.conventions["tangent_orientation"] == "arms_t2"
@@ -271,12 +274,13 @@ def test_vertex_table_n2_entries_are_small():
             assert max(len(c.num), len(c.den)) <= 8
 
 
-def test_vertex_table_certifies_its_basis():
+def test_vertex_table_certifies_its_basis(monkeypatch):
     basis = MacdonaldBasis()
     basis.build_degree(2)
     basis._H[2][(1, 1)] = basis._H[2][(2,)]
+    monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)
     with pytest.raises(ArithmeticError, match=r"H_\(1, 1\) fails"):
-        capped_vertex_table(2, basis=basis)
+        capped_vertex_table(2)
 
 
 def test_vertex_table_bounds():
@@ -316,18 +320,17 @@ def test_divides_zpoly():
 def test_vertex_table_equals_the_series_route(n):
     # the route the tables took before they were computed exactly in z:
     # pair the truncated z-series, then reconstruct over the candidate
-    basis = MacdonaldBasis()
     B = n * (n + 1) // 2
     Nz = 2 * B + 2
-    pairings = basis.exp_pairings(checks.closed_exponents(n, Nz), n,
-                                  one=Series.one(0, Nz))
+    pairings = default_basis().exp_pairings(checks.closed_exponents(n, Nz), n)
     cand = candidate_denominator(n)
-    table = capped_vertex_table(n, basis=basis)
+    table = capped_vertex_table(n)
     assert table.certified_order == Nz and table.q_free
     for lam in partitions(n):
-        series = pairings[lam] * basis.ratio(lam)
+        series = pairings[lam] * ratio(lam, "arms_t1")
         if n == 0:
-            want = ({0: series.coefficient(0, 0)}, {0: ONE})
+            # the empty product is the Scalar ONE, not a series
+            want = ({0: series}, {0: ONE})
         else:
             want = rational_reconstruct(series, B, B, candidate_dens=[cand])
         for got_part, want_part in zip(table.entries[lam], want):
@@ -376,6 +379,56 @@ def test_vertex_table_at_z0_is_the_mellit_eigenvalue(n):
     for lam, (num, den) in capped_vertex_table(n).entries.items():
         assert den[0] == ONE
         assert num.get(0, ZERO) == checks.mellit_eigenvalue(lam)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_vertex_table_at_z_infinity(n):
+    # the leading coefficients, B = n(n+1)/2, give hbar^(-2n) prod over the
+    # boxes of (1 - u hbar^2 w_box), w_box as in mellit_eigenvalue.  Observed
+    # for every lam through n = 7; not a cited theorem
+    B = n * (n + 1) // 2
+    for lam, (num, den) in capped_vertex_table(n).entries.items():
+        want = HBAR ** (-2 * n)
+        for (r, c) in boxes(lam):
+            want = want * (ONE - U * HBAR ** 2
+                           * Scalar.monomial(t1=4 * c, t2=4 * r))
+        assert num[B] / den[B] == want
+
+
+def _cyclotomic(d):
+    """Phi_d(w) as integer coefficients in w, lowest degree first."""
+    p = [-1] + [0] * (d - 1) + [1]  # w^d - 1 = prod over e | d of Phi_e
+    for e in range(1, d):
+        if d % e == 0:
+            f = _cyclotomic(e)  # monic
+            quo = [0] * (len(p) - len(f) + 1)
+            for i in reversed(range(len(quo))):
+                quo[i] = p[i + len(f) - 1]
+                for j, x in enumerate(f):
+                    p[i + j] -= quo[i] * x
+            assert not any(p)
+            p = quo
+    return p
+
+
+def test_cyclotomic_examples():
+    assert [_cyclotomic(d) for d in (1, 2, 3, 4, 6)] == [
+        [-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_vertex_table_numerator_has_no_cyclotomic_factor(n):
+    # the candidate denominator D_n = prod_{k<=n} (1 - w^k) is reduced: no
+    # Phi_d(w), d <= n, divides any numerator written in w = z hbar / q
+    phi = {d: {j: Scalar.from_int(x) for j, x in enumerate(_cyclotomic(d))
+               if x} for d in range(1, n + 1)}
+    for num, den in capped_vertex_table(n).entries.values():
+        in_w = checks._zpoly_sub_w(num)
+        for d in phi:
+            assert not checks._divides_zpoly(phi[d], in_w)
+        # negative control: a factor 1 - w put in by hand is found
+        assert checks._divides_zpoly(phi[1],
+                                     checks._zmul(in_w, {0: ONE, 1: -ONE}))
 
 
 def test_star_weight_cancels_the_exponent_denominators():

@@ -24,6 +24,42 @@ def _unused_imports(source):
     return bound - read
 
 
+# calls that build a new mutable container
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "Counter",
+                 "OrderedDict", "deque"}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                 ast.SetComp)
+
+
+def _mutable_defaults(source):
+    """Names of the functions with a default argument that is mutable.
+
+    Such a default is built once, when the function is defined, and shared
+    by every call that leaves the argument out."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for d in node.args.defaults + node.args.kw_defaults:
+            func = getattr(d, "func", None)  # set on calls only
+            call = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(d, MUTABLE_NODES) or call in MUTABLE_CALLS:
+                out.append(getattr(node, "name", "<lambda>"))
+    return sorted(out)
+
+
+def test_no_function_has_a_mutable_default():
+    assert _mutable_defaults(
+        "def f(a, b={}, *, c=set(), d=None): pass\n"
+        "g = lambda x=[]: x\n"
+        "def h(x=(), y=collections.deque(), z=frozenset()): pass\n"
+    ) == ["<lambda>", "f", "f", "h"]
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    for path in paths:
+        assert _mutable_defaults(path.read_text()) == [], path.name
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     assert _unused_imports("import math\nfrom os import path, sep\n"
                            "print(sep)\n") == {"math", "path"}

@@ -7,12 +7,13 @@ from math import factorial, prod
 import pytest
 
 from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, decode, encode
-from hilbvertex.characters import partitions, conjugate
+from hilbvertex.characters import partitions, conjugate, n_stat
+from hilbvertex import macdonald
 from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,
                                   macd_H_hhl, default_basis, euler_hilb, norm,
-                                  star_weight, Q_MACD, T_MACD, character_table,
-                                  m_to_p, z_mu)
+                                  ratio, star_weight, Q_MACD, T_MACD,
+                                  character_table, m_to_p, z_mu)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex import checks
@@ -73,22 +74,27 @@ def test_basis_star_orthogonal_with_closed_form_norms():
             assert not norm(mu).is_zero()
 
 
-def test_corrupted_basis_fails_certification():
+def _corrupted_shared_basis(monkeypatch):
+    """A degree-2 basis with H_(1,1) = H_(2), installed as the shared one."""
     basis = MacdonaldBasis()
     basis.build_degree(2)
     basis._H[2][(1, 1)] = basis._H[2][(2,)]
+    monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)
+    return basis
+
+
+def test_corrupted_basis_fails_certification(monkeypatch):
+    basis = _corrupted_shared_basis(monkeypatch)
     with pytest.raises(ArithmeticError,
                        match=r"H_\(1, 1\) fails the t-axiom: .* s_\(1, 1\) "):
         basis.certify(2)
     # the identity check reads through pairings, which certify the basis
     with pytest.raises(ArithmeticError):
-        check_kernel_identity(2, basis=basis)
+        check_kernel_identity(2)
 
 
-def test_exp_pairings_certify_the_basis_first():
-    basis = MacdonaldBasis()
-    basis.build_degree(2)
-    basis._H[2][(1, 1)] = basis._H[2][(2,)]
+def test_exp_pairings_certify_the_basis_first(monkeypatch):
+    basis = _corrupted_shared_basis(monkeypatch)
     message = r"H_\(1, 1\) fails the t-axiom"
     with pytest.raises(ArithmeticError, match=message):
         basis.exp_pairings(checks.kernel_exponents(2), 2)
@@ -97,7 +103,7 @@ def test_exp_pairings_certify_the_basis_first():
         basis.exp_pairings({}, 2)
     for check in (checks.check_mellit, checks.check_osum):
         with pytest.raises(ArithmeticError, match=message):
-            check(2, basis=basis)
+            check(2)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -255,27 +261,39 @@ def test_exp_pairings_of_the_closed_form():
     basis = MacdonaldBasis()
     for n in range(4):
         nz = n * (n + 1) + 2
-        got = basis.exp_pairings(closed_exponents(n, nz), n,
-                                 one=Series.one(0, nz))
+        got = basis.exp_pairings(closed_exponents(n, nz), n)
         want = basis.pairings(closed_F(n, nz), n)
         assert list(got) == list(want) == partitions(n)
         for lam, p in want.items():
-            assert isinstance(got[lam], Series) and got[lam] == p
+            # at n = 0 the empty product is the Scalar ONE: compare values
+            assert isinstance(got[lam], Series) == (n > 0)
+            assert got[lam] == p
 
 
-def test_basis_holds_norms_and_euler_factors():
-    # one basis, an Euler factor and a ratio per (lam, orientation)
-    basis = MacdonaldBasis()
+def test_fixed_point_factors_are_cached_functions():
+    # one value per process for each lam (and orientation), whichever basis
+    # asks: the basis itself holds only H_lam and its certificate
+    assert vars(MacdonaldBasis()) == {"_H": {}, "_certified": set()}
     for lam in partitions(4):
-        assert basis.norm(lam) == norm(lam)
-        assert basis.norm(lam) is basis.norm(lam)
+        assert norm(lam) is norm(lam)
+        assert star_weight(lam) is star_weight(lam)
         for o in ("arms_t1", "arms_t2"):
-            assert basis.euler(lam, o) == euler_hilb(lam, o)
-            assert basis.euler(lam, o) is basis.euler(lam, o)
-            assert basis.ratio(lam, o) == euler_hilb(lam, o) / norm(lam)
-            assert basis.ratio(lam, o) is basis.ratio(lam, o)
-        assert basis.euler(lam) is basis.euler(lam, "arms_t1")
-        assert basis.ratio(lam) is basis.ratio(lam, "arms_t1")
+            assert euler_hilb(lam, o) is euler_hilb(lam, o)
+            assert ratio(lam, o) is ratio(lam, o)
+            assert ratio(lam, o) == euler_hilb(lam, o) / norm(lam)
+
+
+def test_ratio_is_a_monomial_in_the_calibrated_orientation():
+    # Euler(lam) / w_lam = t1^(2n(lam')) t2^(2n(lam)) in arms_t1.  arms_t2,
+    # where the kernel check fails, is arms_t1 at lam': it gives a monomial
+    # at the self-conjugate lam only
+    for n in range(8):
+        for lam in partitions(n):
+            want = Scalar.monomial(t1=4 * n_stat(conjugate(lam)),
+                                   t2=4 * n_stat(lam))
+            assert ratio(lam, "arms_t1") == want
+            if lam != conjugate(lam):
+                assert len(ratio(lam, "arms_t2").den) > 1
 
 
 def test_localization_sum_in_either_orientation():
