@@ -213,6 +213,34 @@ def test_vertex_n1_denominator(tmp_path):
      "a3c9afcb9e62b76593eaa3c42c2199fc256b517a5aa03d3998d166a95872a7c9"),
     (["series", "taubar", "--ymax", "6"], EXIT_OK,
      "26e1b004f672e0be03bd8cd708fdc26553265c9ae2021cd0792f6a04d54113df"),
+    (["vertex", "--n", "3", "--format", "csv"], EXIT_OK,
+     "0639da862c7927a9860507f3edc8c94f3a9d9c91ebec9fa0e5e1351f14d3609a"),
+    (["vertex", "--n", "3", "--format", "text"], EXIT_OK,
+     "c674f24791c000e85cc7a76ac4ffbd8e292a2d79dc92a75d9b4c9083d188d670"),
+    (["vertex", "--n", "0", "--format", "csv"], EXIT_OK,
+     "6836fd39ad4ebf7943ed18e2317f99622004a994e5192e144957bf2dc4ffb26e"),
+    (["vertex", "--n", "0", "--format", "text"], EXIT_OK,
+     "07920ab76f3e95b3fadb9b42c12212a86bb6a759fe4edfda645b0a39edaec9c6"),
+    (["series", "F", "--ymax", "4", "--zmax", "5", "--format", "csv"],
+     EXIT_OK,
+     "4fe4726b57a4e56e0a4882afeb898958f87ddebf6bbadb03a476fc316a824f71"),
+    (["series", "F", "--ymax", "4", "--zmax", "5", "--format", "text"],
+     EXIT_OK,
+     "b30bfd4b386367fad45cce2c1066f2bca48194b3a21b03af8cea1a71de050848"),
+    (["series", "osum", "--ymax", "3", "--format", "text"], EXIT_OK,
+     "1c8143d82ab27b94627f2236968237a52d4ddcf6aa43ae2ff2e24dd7191899b3"),
+    (["series", "F", "--ymax", "0", "--zmax", "3"], EXIT_OK,
+     "f91a21fa9b6019abd5731b7f64044b1435f759ebf3cf261cccc154302c5395ce"),
+    (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2",
+      "--format", "csv"], EXIT_MISMATCH,
+     "2c664f3cd87c11654654ef72a6fbbcfa7e81b4e6f8c48f67c453eb0fbca00721"),
+    (["verify", "kernel", "--ymax", "3", "--orientation", "arms_t2",
+      "--format", "text"], EXIT_MISMATCH,
+     "3bf3bbf57b616af8deb8ace2721f4e9f4011e5d3e71578d13147121e47ed729e"),
+    (["calibrate"], EXIT_OK,
+     "97c83f1d0424edafae0e22524e9c80743191675ec8fd019823ac315d45caad8e"),
+    (["calibrate", "--evidence"], EXIT_OK,
+     "e2b2391f51fcfbc9c431999277ec4a2f91ff566fdb3e44c1752be8f9adb27201"),
 ])
 def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     # the printed text of a value must not follow its stored form: a change
