@@ -92,9 +92,6 @@ class VerificationReport:
             "seconds": round(self.seconds, 3),
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def __repr__(self):
         return f"VerificationReport({self.name}: {self.outcome})"
 
@@ -245,7 +242,7 @@ def _closed_exponent_parts(k):
 
 def closed_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER):
     """The closed exponential form exp(sum_k c_k p_k), as displayed."""
-    return exp_linear(closed_exponents(Ny, Nz), Ny, one=Series.one(0, Nz))
+    return exp_linear(closed_exponents(Ny, Nz), Ny)
 
 
 def _fusion_exponents(Ny, Nz):
@@ -272,8 +269,7 @@ def derived_exponents(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER,
 def build_F(Ny=DEFAULT_Y_ORDER, Nz=DEFAULT_Z_ORDER, reading="printed"):
     """The derivation F = exp(sum_k (c_k + gamma_k d_k) p_k), equal to the
     tensor-square route of fock.py."""
-    return exp_linear(derived_exponents(Ny, Nz, reading), Ny,
-                      one=Series.one(0, Nz))
+    return exp_linear(derived_exponents(Ny, Nz, reading), Ny)
 
 
 def ook_argument(Nz):
@@ -421,16 +417,6 @@ class CappedVertexTable:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv_rows(self):
-        out = [("partition", "z_degree", "part", "value")]
-        for lam in partitions(self.n):
-            num, den = self.entries[lam]
-            for d, c in sorted(num.items()):
-                out.append((",".join(map(str, lam)), d, "num", c.render()))
-            for d, c in sorted(den.items()):
-                out.append((",".join(map(str, lam)), d, "den", c.render()))
-        return out
 
 
 def _w_product(n):
@@ -748,15 +734,6 @@ def calibrate():
     # wall-clock time is left out, so that the record is the same every run
     return conventions, {key: dict(rep.to_dict(), seconds=None)
                          for key, rep in evidence.items()}
-
-
-def write_conventions(path, conventions, evidence=None):
-    payload = {"conventions": conventions}
-    if evidence:
-        payload["evidence"] = evidence
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

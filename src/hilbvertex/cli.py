@@ -3,26 +3,24 @@
 Exit codes: 0 all requested checks pass, 1 a verification mismatch,
 2 usage/configuration error, 3 internal resource limit.
 
-Flags mirror environment variables with the HILBVERTEX_ prefix
-(HILBVERTEX_YMAX, HILBVERTEX_ZMAX, HILBVERTEX_N, HILBVERTEX_FORMAT,
-HILBVERTEX_OUT).  Output files are byte-identical for identical
-configurations: wall-clock timing is shown on the console but never written
-to files.
+The flags are the only settings; no environment variable is read.  Result
+files come in three formats: json (the default), csv and text.  Output files
+are byte-identical for identical configurations: wall-clock timing is shown
+on the console but never written to files.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .scalar import ResourceLimitError
 from . import checks as checks_mod
-from .checks import (run_check, calibrate, write_conventions,
-                     capped_vertex_table, closed_F, osum_exponential,
-                     mellit_exponential, VERIFY_TARGETS, HARD_Y_BOUND,
-                     HARD_Z_BOUND, VERTEX_N_MAX, DEFAULT_CONVENTIONS)
+from .checks import (run_check, calibrate, capped_vertex_table, closed_F,
+                     osum_exponential, mellit_exponential, VERIFY_TARGETS,
+                     HARD_Y_BOUND, HARD_Z_BOUND, VERTEX_N_MAX,
+                     DEFAULT_CONVENTIONS)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -32,26 +30,6 @@ EXIT_LIMIT = 3
 
 class ConfigError(Exception):
     pass
-
-
-FORMATS = ("json", "csv", "text")
-
-
-def _env(name, cast=str):
-    """HILBVERTEX_<name> through `cast`, which may reject it (ConfigError)."""
-    raw = os.environ.get(f"HILBVERTEX_{name}")
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError as e:
-        raise ConfigError(f"HILBVERTEX_{name}={raw!r}: {e}") from None
-
-
-def _format(raw):
-    if raw not in FORMATS:
-        raise ValueError(f"choose from {', '.join(FORMATS)}")
-    return raw
 
 
 def _bounds_check(args, targets=()):
@@ -67,7 +45,17 @@ def _bounds_check(args, targets=()):
         raise ConfigError(f"verify rationality needs --n <= {VERTEX_N_MAX}")
 
 
-def _emit(text, path):
+def _write(fmt, path, obj, header=(), rows=(), lines=()):
+    """Render one result as json (`obj`), csv (`header`, then `rows`) or text
+    (`lines`), and write it to `path`, or to stdout when no path is given."""
+    if fmt == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -99,25 +87,12 @@ def cmd_verify(args):
         if not rep.passed:
             print(json.dumps(rep.details, indent=2, sort_keys=True))
     payload = [dict(rep.to_dict(), seconds=None) for rep in reports]
-    text = _format_reports(payload, args.format)
     if args.out:
-        _emit(text, args.out)
+        _write(args.format, args.out, payload, ["check", "outcome", "orders"],
+               [[r["check"], r["outcome"],
+                 json.dumps(r["orders"], sort_keys=True)] for r in payload],
+               [f"{r['check']}: {r['outcome']}" for r in payload])
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_MISMATCH
-
-
-def _format_reports(payload, fmt):
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["check", "outcome", "orders"])
-        for row in payload:
-            w.writerow([row["check"], row["outcome"],
-                        json.dumps(row["orders"], sort_keys=True)])
-        return buf.getvalue()
-    lines = [f"{row['check']}: {row['outcome']}" for row in payload]
-    return "\n".join(lines) + "\n"
 
 
 def _fock_payload(f):
@@ -147,21 +122,11 @@ def cmd_series(args):
     else:
         raise ConfigError(f"unknown series target {args.target!r}")
     rows = _fock_payload(f)
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["y", "z", "p", "num", "den"])
-        for r in rows:
-            w.writerow([r["y"], r["z"],
-                        ",".join(map(str, r["p"])), r["num"], r["den"]])
-        text = buf.getvalue()
-    elif args.format == "text":
-        text = "\n".join(
-            f"y^{r['y']} z^{r['z']} p{r['p']}: ({r['num']}) / ({r['den']})"
-            for r in rows) + "\n"
-    else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _write(args.format, args.out, rows, ["y", "z", "p", "num", "den"],
+           [[r["y"], r["z"], ",".join(map(str, r["p"])), r["num"], r["den"]]
+            for r in rows],
+           [f"y^{r['y']} z^{r['z']} p{r['p']}: ({r['num']}) / ({r['den']})"
+            for r in rows])
     return EXIT_OK
 
 
@@ -170,31 +135,27 @@ def cmd_vertex(args):
     if not 0 <= n <= VERTEX_N_MAX:
         raise ConfigError(f"--n must lie in [0, {VERTEX_N_MAX}] for vertex "
                           f"tables")
-    table = capped_vertex_table(n)
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in table.to_csv_rows():
-            w.writerow(row)
-        text = buf.getvalue()
-    elif args.format == "text":
-        lines = [f"n={table.n} certified through z^{table.certified_order} "
-                 f"q-free-after-shift={table.q_free}"]
-        for row in table.to_dict()["entries"]:
-            lines.append(f"  {row['partition']}: num {row['num']} "
-                         f"den {row['den']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = table.to_json() + "\n"
-    _emit(text, args.out)
+    table = capped_vertex_table(n).to_dict()
+    entries = table["entries"]
+    _write(args.format, args.out, table,
+           ["partition", "z_degree", "part", "value"],
+           [[",".join(map(str, e["partition"])), d, part, c]
+            for e in entries for part in ("num", "den")
+            for d, c in e[part].items()],
+           [f"n={n} certified through z^{table['certified_order']} "
+            f"q-free-after-shift={table['q_free_after_shift']}"]
+           + [f"  {e['partition']}: num {e['num']} den {e['den']}"
+              for e in entries])
     return EXIT_OK
 
 
 def cmd_calibrate(args):
     conventions, evidence = calibrate()
     path = args.out or "conventions.json"
-    write_conventions(path, conventions,
-                      evidence if args.evidence else None)
+    payload = {"conventions": conventions}
+    if args.evidence:
+        payload["evidence"] = evidence
+    _write("json", path, payload)
     print(f"wrote {path}")
     for key in ("tangent_orientation", "prop1_variant", "prop1_a_power",
                 "main_reading", "main_shift_text",
@@ -212,12 +173,11 @@ def build_parser():
 
     # each subcommand registers only the flags its handler reads
     flags = {
-        "ymax": dict(type=int, default=_env("YMAX", int)),
-        "zmax": dict(type=int, default=_env("ZMAX", int)),
-        "n": dict(type=int, default=_env("N", int)),
-        "format": dict(choices=FORMATS,
-                       default=_env("FORMAT", _format) or "json"),
-        "out": dict(default=_env("OUT")),
+        "ymax": dict(type=int),
+        "zmax": dict(type=int),
+        "n": dict(type=int),
+        "format": dict(choices=("json", "csv", "text"), default="json"),
+        "out": dict(),
     }
 
     def add_flags(sp, *names):

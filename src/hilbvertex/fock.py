@@ -179,18 +179,17 @@ def heis(k, f):
     return FockElement(out, f.N)
 
 
-def exp_linear(c, N, one=None):
+def exp_linear(c, N):
     """exp(sum_k c_k p_k) truncated at total degree N.
 
     `c` maps part sizes k to coefficients; the p_mu coefficient of the result
     is prod_k c_k^{m_k} / m_k! over the multiplicities of mu.  Each
     c_k^m / m! with m > 1 is built once per call, from the one below it, as
-    (c_k^{m-1} / (m-1)!) * c_k * (1/m).
+    (c_k^{m-1} / (m-1)!) * c_k * (1/m).  The unit at p_() takes its type
+    from the first exponent: a Series unit for Series exponents, else ONE.
     """
-    if one is None:
-        sample = next(iter(c.values()), None)
-        one = (Series.one(*sample.bounds()) if isinstance(sample, Series)
-               else ONE)
+    sample = next(iter(c.values()), None)
+    one = Series.one(*sample.bounds()) if isinstance(sample, Series) else ONE
     powers = {}
 
     def power(k, m):
@@ -229,8 +228,7 @@ def pexp(c1, N):
     """Plethystic exponential of c1 * p_1: exp(sum_k adams(c1, k) p_k / k)."""
     if isinstance(c1, (int,)):
         c1 = Scalar.from_int(c1)
-    one = Series.one(*c1.bounds()) if isinstance(c1, Series) else None
-    return exp_linear(plethystic_exponents(c1, N), N, one=one)
+    return exp_linear(plethystic_exponents(c1, N), N)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,8 @@ def pmul_int(f, n):
 
 
 def ppow(f, n):
+    if n < 0:
+        raise ValueError("a polynomial power needs n >= 0")
     out = pone()
     base = f
     while n:

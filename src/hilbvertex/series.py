@@ -120,6 +120,8 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
         out = Series.one(self.ny, self.nz)
         base = self
         while n:

@@ -483,7 +483,7 @@ def test_prop4_examples():
 
 def test_report_serialization():
     rep = check_prop4(1, 1)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["check"] == "chern_limit"
     assert data["outcome"] == "exact-match"
 

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import hilbvertex
-from hilbvertex import cli
 from hilbvertex.cli import (main, build_parser, EXIT_OK, EXIT_MISMATCH,
                             EXIT_USAGE, EXIT_LIMIT)
 
@@ -18,7 +17,6 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(hilbvertex.__file__))
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
-    env.pop("HILBVERTEX_FORMAT", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
@@ -107,10 +105,7 @@ def test_subcommand_rejects_flags_it_ignores(argv):
     assert main(argv) == EXIT_USAGE
 
 
-def test_option_surface(monkeypatch):
-    # each subcommand's flags, and the HILBVERTEX_* variables behind them
-    read = []
-    monkeypatch.setattr(cli, "_env", lambda name, cast=str: read.append(name))
+def test_option_surface():
     sub, = (a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     flags = {name: sorted(opt for action in sp._actions
@@ -124,7 +119,6 @@ def test_option_surface(monkeypatch):
         "vertex": ["--format", "--n", "--out"],
         "calibrate": ["--evidence", "--out"],
     }
-    assert sorted(read) == ["FORMAT", "N", "OUT", "YMAX", "ZMAX"]
 
 
 def test_series_taubar_trivial(tmp_path):
@@ -270,34 +264,20 @@ def test_calibrate_idempotent(tmp_path):
     assert conv["main_matches_printed_claim"] is False
 
 
-def test_env_override(tmp_path):
-    out = tmp_path / "env.json"
-    proc = run_cli(["series", "taubar", "--out", str(out)],
-                   env_extra={"HILBVERTEX_YMAX": "0"})
-    assert proc.returncode == EXIT_OK
-    rows = json.loads(out.read_text())
-    assert rows[0]["y"] == 0 and len(rows) == 1
+def test_environment_does_not_change_the_output():
+    # the flags are the only settings
+    argv = ["series", "taubar", "--ymax", "2"]
+    plain = run_cli(argv)
+    env = run_cli(argv, env_extra={"HILBVERTEX_FORMAT": "csv",
+                                   "HILBVERTEX_YMAX": "0"})
+    assert plain.returncode == env.returncode == EXIT_OK
+    assert env.stdout == plain.stdout
+    assert json.loads(plain.stdout)[-1]["y"] == 2
 
 
 def test_usage_error_exit_code():
     proc = run_cli(["verify", "--ymax", "not-a-number"])
     assert proc.returncode == EXIT_USAGE
-
-
-@pytest.mark.parametrize("var, value, argv", [
-    ("YMAX", "abc", ["verify", "kernel", "--ymax", "1"]),
-    ("N", "2.5", ["vertex"]),
-    ("FORMAT", "xml", ["verify", "kernel", "--ymax", "1"]),
-    ("FORMAT", "xml", ["series", "F", "--ymax", "1", "--zmax", "1"]),
-])
-def test_malformed_environment_value_is_a_config_error(
-        monkeypatch, capsys, tmp_path, var, value, argv):
-    # rejected even when the flag is given; argparse checks no default
-    monkeypatch.setenv(f"HILBVERTEX_{var}", value)
-    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: HILBVERTEX_{var}=")
-    assert not (tmp_path / "out").exists()
 
 
 def test_verify_and_calibrate_build_each_degree_once(monkeypatch, tmp_path):

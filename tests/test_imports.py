@@ -71,3 +71,31 @@ def test_no_module_imports_a_name_it_does_not_use():
     for path in modules + tests:
         unused = _unused_imports(path.read_text())
         assert unused == KEPT.get(path.stem, set()), path.name
+
+
+def _unused_parameters(source):
+    """(function, parameter) pairs where the body never reads the parameter.
+
+    Lambdas are left out: a lambda that ignores its argument is how a
+    constant callback is written."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.name, p) for p in params if p not in read]
+    return out
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    assert _unused_parameters(
+        "def f(a, b, *c, d, **e):\n    b = a\n    return e\n"
+        "def g(x):\n    def h(y):\n        return x\n    return h\n"
+        "k = lambda lam: 1\n"
+    ) == [("f", "b"), ("f", "d"), ("f", "c"), ("h", "y")]
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _unused_parameters(path.read_text()) == [], path.name

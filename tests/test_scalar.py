@@ -10,7 +10,7 @@ from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
                                _printed, prender, _MONOMIALS, VARIABLES,
                                pmul, pmul_int, pone, pconst, padd, psub,
-                               padams, key_exp, bareiss_det,
+                               padams, ppow, key_exp, bareiss_det,
                                invert_matrix, solve_poly_system,
                                InconsistentSystemError)
 
@@ -288,6 +288,12 @@ def test_pdivexact_quotient_is_exact_or_none(f, g):
     # terminates on every input, and a returned quotient is exact
     q = pdivexact(f, g)
     assert q is None or pmul(q, g) == f
+
+
+def test_ppow_refuses_a_negative_exponent():
+    assert ppow({KEY_ONE: 2}, 3) == pconst(8)
+    with pytest.raises(ValueError):
+        ppow({KEY_ONE: 2}, -1)
 
 
 def test_pdivexact_not_exact_terminates():

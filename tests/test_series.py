@@ -59,6 +59,13 @@ def test_geom_examples():
     assert w.geom() * (Series.one(0, 5) - w) == Series.one(0, 5)
 
 
+def test_negative_power_is_a_power_of_the_inverse():
+    f = Series.one(0, 4) - Series.z(0, 4)
+    assert f ** -1 == Series.z(0, 4).geom()
+    assert f ** -3 == f.inverse() ** 3
+    assert f ** -3 * f ** 3 == Series.one(0, 4)
+
+
 def test_geom_inverse_random():
     for _ in range(15):
         g = rand_series(3, 4, zero_const=True)
