@@ -6,8 +6,9 @@ identically zero through the stated orders.  The capped vertex tables behind
 the rationality check are exact rational functions of z, with no
 truncation, over the candidate denominator prod_{k<=n} (1 - (z hbar/q)^k)
 by construction; the check is that each table, written in the shifted
-variable z hbar / q, does not depend on q, in every degree 1..n.  A mismatch
-always carries a concrete witness.  The resolved-convention record travels
+variable w = z hbar / q, does not depend on q, in every degree 1..n: no
+key of their integer numerators in w has a q exponent.  A mismatch always
+carries a concrete witness.  The resolved-convention record travels
 with every report so runs are auditable: tangent orientation (it enters
 only the Euler factor; the localization checks share one basis), Euler
 convention, the structure-sheaf sign transport, the validated limit
@@ -30,15 +31,15 @@ import time
 from collections import namedtuple
 from functools import reduce
 
-from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                     LimitError, VARIABLES, key_exp, pmul)
+from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, LimitError,
+                     VARIABLES, key_exp, padd, pconst, pmul, pone)
 from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import (MAX_DEGREE, default_basis, euler_hilb, norm, ratio,
-                        star_weight)
+from .macdonald import (MAX_DEGREE, _clear_row, default_basis, euler_hilb,
+                        norm, ratio, star_weight)
 
 _Q_INDEX = VARIABLES.index("q")
 
@@ -454,41 +455,31 @@ def _in_z(poly):
             for j, c in enumerate(poly) if c}
 
 
-def _zmul(f, g):
-    """Product of two z-polynomials {deg: Scalar}."""
-    out = {}
-    for d1, c1 in f.items():
-        for d2, c2 in g.items():
-            d = d1 + d2
-            out[d] = c1 * c2 + out[d] if d in out else c1 * c2
-    return {d: c for d, c in out.items() if c}
-
-
 def candidate_denominator(n):
     """prod_{k<=n} (1 - (z hbar/q)^k) as a z-polynomial {deg: Scalar}."""
     return _in_z(_w_product(n))
 
 
-def _zpoly_sub_w(poly):
-    """Rewrite a z-polynomial in the shifted variable w = z hbar / q."""
-    fac = Q / HBAR
-    return {d: c * fac ** d for d, c in poly.items()}
+def _w_numerator(k):
+    """N_k = a_k + (b_k (q/hbar)^k - a_k) w^k as {w-degree: poly}, with g_k =
+    star_weight((k,)) c_k = N_k / (1 - w^k), w = z hbar / q, and a_k, b_k
+    star_weight((k,)) A_k and B_k, reduced (z^k = (q/hbar)^k w^k).  Raises
+    ArithmeticError unless both coefficients are integer polynomials."""
+    weight = star_weight((k,))
+    a, b = ((weight * x).reduced() for x in _closed_exponent_parts(k))
+    N = {0: a, k: b * (Q / HBAR) ** k - a}
+    if any(c.den != pone() for c in N.values()):
+        raise ArithmeticError(f"N_{k} is not over the integers")
+    return {j: c.num for j, c in N.items()}
 
 
-def _q_euler(poly):
-    """q d/dq on a polynomial, up to the factor 1/2 of the doubled exponents."""
+def _wmul(f, g):
+    """Product of two polynomials in w, {w-degree: poly}."""
     out = {}
-    for k, c in poly.items():
-        e = key_exp(k, _Q_INDEX)
-        if e:
-            out[k] = c * e
-    return out
-
-
-def is_q_free(x):
-    """Exact: x does not depend on q, i.e. (q d/dq num) den == num (q d/dq den)."""
-    return (pmul(_q_euler(x.num), x.den)
-            == pmul(x.num, _q_euler(x.den)))
+    for i, a in f.items():
+        for j, b in g.items():
+            out[i + j] = padd(out.get(i + j, {}), pmul(a, b))
+    return {j: c for j, c in out.items() if c}
 
 
 def capped_vertex_table(n):
@@ -498,10 +489,8 @@ def capped_vertex_table(n):
     closed_F times ratio(lam, "arms_t1") (macdonald.py), a monomial.  By the
     Cauchy identity (see MacdonaldBasis.exp_pairings) the pairing is sum_rho
     H_lam,rho g_rho, with g_rho = prod_{k in rho} g_k and g_k =
-    star_weight((k,)) c_k.  Each c_k is A_k + B_k z^k / (1 - w^k), w = z
-    hbar / q, so g_k = N_k / (1 - w^k) with the two-term z-polynomial N_k =
-    a_k + (b_k - a_k (hbar/q)^k) z^k, where a_k and b_k are
-    star_weight((k,)) A_k and B_k, reduced.  Every
+    star_weight((k,)) c_k = N_k / (1 - w^k), w = z hbar / q, where N_k is
+    the two-term polynomial in w of _w_numerator.  Every
     prod_{k in rho} (1 - w^k) divides D_n = candidate_denominator(n), so the
     entry is
 
@@ -509,45 +498,49 @@ def capped_vertex_table(n):
         cof_rho = D_n / prod_{k in rho} (1 - w^k),
 
     with no truncation in z; the numerator has degree at most B = n(n+1)/2,
-    the degree of D_n.  The q-independence of the shifted-variable form is
-    checked exactly.
+    the degree of D_n.  The sum runs on integer polynomials, the H_lam row
+    cleared over one integer: the entry is q-free in w exactly when no key
+    of its numerators has a q exponent (q_free).  Last, each w^j is written
+    as z^j (hbar/q)^j, with one Scalar per printed coefficient.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
     basis = default_basis()
     basis.certify(n)
-    N = {}
-    for k in range(1, n + 1):
-        weight = star_weight((k,))
-        a, b = ((weight * x).reduced() for x in _closed_exponent_parts(k))
-        N[k] = {0: a, k: b - a * (HBAR / Q) ** k}
-    terms = {rho: reduce(_zmul, (N[k] for k in rho), _in_z(_cofactor(n, rho)))
+    N = {k: _w_numerator(k) for k in range(1, n + 1)}
+    terms = {rho: reduce(_wmul, (N[k] for k in rho),
+                         {j: pconst(c) for j, c in enumerate(_cofactor(n, rho))
+                          if c})
              for rho in partitions(n)}
     den = candidate_denominator(n)
+    hq = _in_z([1] * (n * (n + 1) // 2 + 1))  # (hbar/q)^j at z^j
     entries = {}
     q_free = True
     for lam in partitions(n):
+        H = basis.H(lam).coeffs
+        *row, one = _clear_row([*H.values(), ONE])
         num = {}
-        for rho, h in basis.H(lam).coeffs.items():
-            for d, c in terms[rho].items():
-                num[d] = c * h + num[d] if d in num else c * h
+        for rho, h in zip(H, row):
+            for j, c in terms[rho].items():
+                num[j] = padd(num.get(j, {}), pmul(h, c))
         r = ratio(lam, "arms_t1")
-        num = {d: c * r for d, c in num.items() if c}
-        entries[lam] = (num, den)
-        q_free = q_free and all(is_q_free(c) for part in (num, den)
-                                for c in _zpoly_sub_w(part).values())
+        num = {j: pmul(r.num, c) for j, c in num.items() if c}
+        q_free = q_free and not any(key_exp(key, _Q_INDEX)
+                                    for c in num.values() for key in c)
+        entries[lam] = ({j: Scalar(pmul(c, hq[j].num), pmul(r.den, one))
+                         for j, c in num.items()}, den)
     return CappedVertexTable(n, entries, q_free)
 
 
 def check_rationality(n=3):
     """Rationality of the capped vertex functions in every degree 1..n.
 
-    Decides whether the shifted form of each table, num and den rewritten
-    in w = z hbar / q, is free of q (the table's q_free).  The den of every
-    entry is candidate_denominator(n) itself, by construction (see
-    capped_vertex_table), so whether den divides the candidate is not
-    tested again."""
+    Decides whether each table, written in w = z hbar / q, is free of q
+    (the table's q_free): an exact scan of the keys of its integer
+    numerators, see capped_vertex_table.  The den of every entry is
+    candidate_denominator(n) itself, by construction, so whether den
+    divides the candidate is not tested again."""
     degrees = list(range(1, n + 1))
 
     def run():

@@ -70,6 +70,9 @@ def cmd_verify(args):
     unknown = [t for t in targets if t not in VERIFY_TARGETS]
     if unknown:
         raise ConfigError(f"unknown verify targets: {', '.join(unknown)}")
+    if args.format is not None and not args.out:
+        raise ConfigError("--format needs --out: the console shows one "
+                          "line per check in every format")
     _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
              "n": ("--n", args.n)}
@@ -88,7 +91,8 @@ def cmd_verify(args):
             print(json.dumps(rep.details, indent=2, sort_keys=True))
     payload = [dict(rep.to_dict(), seconds=None) for rep in reports]
     if args.out:
-        _write(args.format, args.out, payload, ["check", "outcome", "orders"],
+        _write(args.format or "json", args.out, payload,
+               ["check", "outcome", "orders"],
                [[r["check"], r["outcome"],
                  json.dumps(r["orders"], sort_keys=True)] for r in payload],
                [f"{r['check']}: {r['outcome']}" for r in payload])
@@ -109,19 +113,16 @@ def _fock_payload(f):
     return rows
 
 
+# series target -> builder of its FockElement at orders (y, z)
+SERIES_TARGETS = {"F": closed_F, "osum": lambda y, z: osum_exponential(y),
+                  "taubar": lambda y, z: mellit_exponential(y)}
+
+
 def cmd_series(args):
     _bounds_check(args)
     y = args.ymax if args.ymax is not None else checks_mod.DEFAULT_Y_ORDER
     z = args.zmax if args.zmax is not None else checks_mod.DEFAULT_Z_ORDER
-    if args.target == "F":
-        f = closed_F(y, z)
-    elif args.target == "osum":
-        f = osum_exponential(y)
-    elif args.target == "taubar":
-        f = mellit_exponential(y)
-    else:
-        raise ConfigError(f"unknown series target {args.target!r}")
-    rows = _fock_payload(f)
+    rows = _fock_payload(SERIES_TARGETS[args.target](y, z))
     _write(args.format, args.out, rows, ["y", "z", "p", "num", "den"],
            [[r["y"], r["z"], ",".join(map(str, r["p"])), r["num"], r["den"]]
             for r in rows],
@@ -192,10 +193,11 @@ def build_parser():
                     help="override the calibrated tangent orientation "
                          "(negative control)")
     add_flags(sp, "ymax", "zmax", "n", "format", "out")
-    sp.set_defaults(fn=cmd_verify)
+    # no default format, so that a --format given without --out is seen
+    sp.set_defaults(fn=cmd_verify, format=None)
 
     sp = sub.add_parser("series", help="emit a generating function")
-    sp.add_argument("target", choices=("F", "osum", "taubar"))
+    sp.add_argument("target", choices=tuple(SERIES_TARGETS))
     add_flags(sp, "ymax", "zmax", "format", "out")
     sp.set_defaults(fn=cmd_series)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, HBAR,
-                               pdivexact)
+                               padams, pdivexact, pmul_int)
 from hilbvertex.series import Series, rational_reconstruct
 from hilbvertex.characters import partitions, boxes
 from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
@@ -257,13 +257,40 @@ def test_vertex_table_n1():
     assert table.q_free
 
 
-def test_is_q_free_is_exact():
-    x = (Q + ONE) * T1 / (Q + ONE)
-    assert x.den != ONE.den  # the q-dependence cancels only after a gcd
-    assert checks.is_q_free(x)
-    assert checks.is_q_free(HBAR / (ONE - U))
-    assert not checks.is_q_free((Q + ONE) / (Q + T1))
-    assert not checks.is_q_free(HBAR / Q)
+@pytest.mark.parametrize("stray_k", [1, 2, 3])
+def test_rationality_finds_a_stray_q(monkeypatch, stray_k):
+    # negative control: B_k with one extra factor of q makes N_k, and every
+    # table of degree n >= k, depend on q in w
+    right = checks._closed_exponent_parts
+
+    def stray(k):
+        a, b = right(k)
+        return a, (b * Q if k == stray_k else b)
+
+    monkeypatch.setattr(checks, "_closed_exponent_parts", stray)
+    for n in range(stray_k):
+        assert capped_vertex_table(n).q_free is True
+    for n in range(stray_k, 4):
+        assert capped_vertex_table(n).q_free is False
+    rep = check_rationality(3)
+    assert rep.outcome == "mismatch"
+    assert rep.details["n"] == stray_k
+
+
+def _adams_w(f, k):
+    """psi_k on a polynomial in w: w^j -> w^(jk), padams on the coefficient."""
+    return {j * k: padams(c, k) for j, c in f.items()}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_w_numerators_follow_the_adams_law(k):
+    # N_1 = 1 - u + (u - hbar^-2) w and N_k = (-1)^(k-1) psi_k(N_1): the
+    # fact that fixes g_k at both ends in z from g_1 alone
+    N1 = checks._w_numerator(1)
+    assert N1 == {0: (ONE - U).num, 1: (U - HBAR ** -2).num}
+    sign = (-1) ** (k - 1)
+    assert checks._w_numerator(k) == {
+        j: pmul_int(c, sign) for j, c in _adams_w(N1, k).items()}
 
 
 def test_vertex_table_n2_entries_are_small():
@@ -288,6 +315,15 @@ def test_vertex_table_bounds():
         capped_vertex_table(checks.VERTEX_N_MAX + 1)
 
 
+def _zmul(f, g):
+    """Product of two z-polynomials {deg: Scalar}."""
+    out = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            out[d1 + d2] = out.get(d1 + d2, ZERO) + c1 * c2
+    return out
+
+
 def test_candidate_denominator_structure():
     d = candidate_denominator(2)
     w = HBAR / Q
@@ -295,12 +331,7 @@ def test_candidate_denominator_structure():
     assert d[1] == -w
     prod = {0: ONE}
     for k in (1, 2):
-        fac = {0: ONE, k: -(w ** k)}
-        new = {}
-        for a, ca in prod.items():
-            for b, cb in fac.items():
-                new[a + b] = new.get(a + b, ZERO) + ca * cb
-        prod = new
+        prod = _zmul(prod, {0: ONE, k: -(w ** k)})
     for deg, c in prod.items():
         assert d.get(deg, ZERO) == c
 
@@ -312,8 +343,8 @@ def test_divides_zpoly():
     assert not checks._divides_zpoly(d2, d1)
     assert not checks._divides_zpoly(d1, {0: ONE})
     assert not checks._divides_zpoly(d1, {0: ONE, 1: ONE})
-    assert not checks._divides_zpoly(d2, checks._zmul(d1, {0: ONE, 1: Q}))
-    assert checks._divides_zpoly(d1, checks._zmul(d1, {0: U, 2: Q}))
+    assert not checks._divides_zpoly(d2, _zmul(d1, {0: ONE, 1: Q}))
+    assert checks._divides_zpoly(d1, _zmul(d1, {0: U, 2: Q}))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -383,9 +414,18 @@ def test_vertex_table_at_z0_is_the_mellit_eigenvalue(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_vertex_table_at_z_infinity(n):
-    # the leading coefficients, B = n(n+1)/2, give hbar^(-2n) prod over the
-    # boxes of (1 - u hbar^2 w_box), w_box as in mellit_eigenvalue.  Observed
-    # for every lam through n = 7; not a cited theorem
+    # the leading coefficients, B = n(n+1)/2, are the values at z = infinity,
+    # hbar^(-2n) prod over the boxes of (1 - u hbar^2 w_box), w_box as in
+    # mellit_eigenvalue.  Derivation: g_k = N_k / (1 - w^k) tends to minus
+    # the w^k coefficient of N_k.  From N_1 = 1 - u + (u - hbar^-2) w that
+    # is g_1 -> hbar^-2 (1 - u hbar^2), and by the Adams law of the N_k
+    # (test_w_numerators_follow_the_adams_law) g_k -> (-1)^(k-1) hbar^(-2k)
+    # (1 - (u hbar^2)^k), which is g_k at z = 0, (-1)^(k-1) (1 - u^k), with
+    # u -> u hbar^2, times hbar^(-2k).  Every rho has size n, so g_rho at
+    # infinity is hbar^(-2n) times g_rho at z = 0 with u -> u hbar^2; H_lam
+    # and ratio(lam) hold no u.  The entry at z = 0 is the Mellit eigenvalue
+    # (test_vertex_table_at_z0_is_the_mellit_eigenvalue), so its leading
+    # coefficient is hbar^(-2n) times that eigenvalue at u hbar^2
     B = n * (n + 1) // 2
     for lam, (num, den) in capped_vertex_table(n).entries.items():
         want = HBAR ** (-2 * n)
@@ -423,12 +463,11 @@ def test_vertex_table_numerator_has_no_cyclotomic_factor(n):
     phi = {d: {j: Scalar.from_int(x) for j, x in enumerate(_cyclotomic(d))
                if x} for d in range(1, n + 1)}
     for num, den in capped_vertex_table(n).entries.values():
-        in_w = checks._zpoly_sub_w(num)
+        in_w = {d: c * (Q / HBAR) ** d for d, c in num.items()}
         for d in phi:
             assert not checks._divides_zpoly(phi[d], in_w)
         # negative control: a factor 1 - w put in by hand is found
-        assert checks._divides_zpoly(phi[1],
-                                     checks._zmul(in_w, {0: ONE, 1: -ONE}))
+        assert checks._divides_zpoly(phi[1], _zmul(in_w, {0: ONE, 1: -ONE}))
 
 
 def test_star_weight_cancels_the_exponent_denominators():

@@ -74,6 +74,17 @@ def test_verify_unknown_target_exit_two():
     assert main(["verify", "nosuch"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_format_without_out_exit_two(monkeypatch, capsys, fmt):
+    # without --out no file is written, so the format would have no effect
+    ran = []
+    monkeypatch.setattr(hilbvertex.cli, "run_check",
+                        lambda *a: ran.append(a))
+    assert main(["verify", "ook", "--format", fmt]) == EXIT_USAGE
+    assert ran == []
+    assert "--format needs --out" in capsys.readouterr().err
+
+
 def test_vertex_bound_error():
     n = hilbvertex.checks.VERTEX_N_MAX + 1
     assert main(["vertex", "--n", str(n)]) == EXIT_USAGE

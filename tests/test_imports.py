@@ -99,3 +99,58 @@ def test_no_function_has_a_parameter_it_never_reads():
     ) == [("f", "b"), ("f", "d"), ("f", "c"), ("h", "y")]
     for path in sorted(PACKAGE.glob("*.py")):
         assert _unused_parameters(path.read_text()) == [], path.name
+
+
+def _definitions(source):
+    """Names of the functions, methods and classes a module defines; dunder
+    methods are left out, since the language calls them by protocol."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _named(source):
+    """Every name a module reads or imports: names, attributes, and each
+    part of an imported dotted name and of its alias."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+            if node.asname:
+                out.add(node.asname)
+    return out
+
+
+def _layer_names(source):
+    """Each part of the dotted strings of the LAYERS table: the tracer wraps
+    those functions and methods by name."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "LAYERS"
+                        for t in node.targets)):
+            return {part for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    for part in c.value.split(".")}
+    return set()
+
+
+def test_every_definition_is_named_somewhere():
+    sample = ("import a.b as c\nclass K:\n    def __eq__(s, o): pass\n"
+              "    def m(s): pass\ndef f(): pass\ndef g(): return f\n")
+    assert _definitions(sample) - _named(sample) == {"K", "m", "g"}
+    assert _layer_names('LAYERS = {"x": (("K.m", "k"),)}') == {
+        "x", "K", "m", "k"}
+    repo = TESTS.parent
+    sources = (sorted((repo / "src").rglob("*.py"))
+               + sorted(TESTS.glob("*.py"))
+               + sorted((repo / "perfbench").glob("*.py")))
+    assert sources
+    named = set().union(*(_named(p.read_text()) for p in sources))
+    named |= _layer_names((repo / "perfbench" / "tracing.py").read_text())
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _definitions(path.read_text()) - named == set(), path.name
