@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hilbvertex.characters import (Character, partitions, conjugate, size,
                                    tangent_hilb, polarization_M2, tangent_M2,
                                    delta_11, o_line_eigen, chern_eigen,
                                    fixed_points_rank2, framing_M2)
+from hilbvertex.macdonald import euler_hilb
 
 rng = random.Random(515)
 
@@ -196,3 +198,28 @@ def test_delta_is_monomial_times_koszul():
 def test_framing_splits_first_summand():
     fr = framing_M2()
     assert fr[0] == A and fr[1] == ONE
+
+
+def test_fixed_point_values_are_pinned():
+    # every value of the rank-2 fixed-point data for n <= 3, both delta
+    # variants included, and the Hilbert-scheme Euler classes for |lam| <= 5
+    lines = []
+    for n in range(4):
+        for l1, l2 in fixed_points_rank2(n):
+            for v in ("proof", "four_term"):
+                lines.append(f"delta_11 {l1} {l2} {v}: "
+                             f"{delta_11(l1, l2, v).render()}")
+            for w in ("full", "first"):
+                lines.append(f"o_line_eigen {l1} {l2} {w}: "
+                             f"{o_line_eigen(l1, l2, w).render()}")
+            for k in range(n + 1):
+                lines.append(f"chern_eigen {l1} {l2} {k}: "
+                             f"{chern_eigen((l1, l2), (ONE, A), k).render()}")
+    for n in range(6):
+        for lam in partitions(n):
+            for o in ("arms_t1", "arms_t2"):
+                lines.append(f"euler_hilb {lam} {o}: "
+                             f"{euler_hilb(lam, o).render()}")
+    assert len(lines) == 170
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "1852649a416183422b758d9afbf6a959e9bde49d0943d639e07adccbf02a5520"
