@@ -5,10 +5,9 @@ Macdonald and Fock-space identities."""
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, LimitError,
                      ResourceLimitError)
 from .series import Series, rational_reconstruct, ReconstructionError
-from .characters import (Character, partitions, conjugate, boxes,
-                         taut_character, tangent_hilb, polarization_M2,
-                         tangent_M2, delta_11, o_line_eigen, chern_eigen,
-                         fixed_points_rank2)
+from .characters import (partitions, conjugate, boxes, taut_character,
+                         tangent_hilb, polarization_M2, tangent_M2, delta_11,
+                         o_line_eigen, chern_eigen, fixed_points_rank2)
 from .fock import (FockElement, TensorFockElement, heis, exp_linear, pexp,
                    tensor_exp, jj0_substitute, project_second)
 from .macdonald import (MacdonaldBasis, macd_H, macd_H_hhl, macd_H_axioms,

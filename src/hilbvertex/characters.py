@@ -4,11 +4,11 @@ Partitions are plain tuples of weakly decreasing positive integers.  Boxes
 are zero-based (row, col) pairs; the one-based (i, j) of the rank-2 geometry
 displays is (row+1, col+1).
 
-A Character is an integer Laurent polynomial in the torus weights: the dict
-{packed key: multiplicity} of scalar.py's polynomial layer.  Sums and tensor
-products are padd and pmul, and the dual and the Adams operations are
-padams; the K-theoretic Euler class and the determinant turn it into a
-Scalar.
+A torus character is an integer Laurent polynomial in the torus weights,
+held as the plain dict {packed key: multiplicity} of scalar.py's polynomial
+layer.  Sums and tensor products are padd, psub and pmul, and the dual and
+the Adams operations are padams; det, sqrt_det and the K-theoretic Euler
+class lambda_dot turn a character into a Scalar.
 
 Frozen conventions (calibrated once against the Fock-space identities, see
 checks.calibrate):
@@ -22,7 +22,7 @@ checks.calibrate):
 from collections import Counter
 
 from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, VARIABLES, decode, encode,
-                     key_exp, key_var, key_inv, padd, psub, pneg, pmul, ppow,
+                     key_exp, key_var, key_inv, padd, psub, pmul, ppow,
                      padams, pone)
 
 _A_INDEX = VARIABLES.index("a")
@@ -123,108 +123,63 @@ def _weight_key(w):
     return kn - kd + KEY_ONE
 
 
-class Character:
-    """Formal sum of monomial torus weights with integer multiplicities."""
+def from_weights(ws):
+    """Torus character of an iterable of monomial Scalars, each once."""
+    return dict(Counter(map(_weight_key, ws)))
 
-    __slots__ = ("weights",)
 
-    def __init__(self, weights=None):
-        self.weights = {k: m for k, m in (weights or {}).items() if m}
+def dual(ch):
+    """Invert every weight: the Adams operation with n = -1."""
+    return padams(ch, -1)
 
-    @staticmethod
-    def from_weights(ws):
-        """Build from an iterable of monomial Scalars (multiplicity 1 each)."""
-        return Character(Counter(map(_weight_key, ws)))
 
-    def rank(self):
-        return sum(self.weights.values())
+def scale(ch, w):
+    """Multiply every weight by a monomial Scalar."""
+    return pmul(ch, {_weight_key(w): 1})
 
-    def is_zero(self):
-        return not self.weights
 
-    def __eq__(self, other):
-        return isinstance(other, Character) and self.weights == other.weights
+def a_part(ch, sign):
+    """Sub-character with a-exponent <0, ==0 or >0 according to sign."""
+    sign = (sign > 0) - (sign < 0)
+    return {k: m for k, m in ch.items()
+            if ((e := key_exp(k, _A_INDEX)) > 0) - (e < 0) == sign}
 
-    __hash__ = None
 
-    def __add__(self, other):
-        return Character(padd(self.weights, other.weights))
+def _det_key(ch):
+    # k - KEY_ONE is linear in the exponents of k, so keys multiply by
+    # adding, as in pmul
+    return KEY_ONE + sum(m * (k - KEY_ONE) for k, m in ch.items())
 
-    def __neg__(self):
-        return Character(pneg(self.weights))
 
-    def __sub__(self, other):
-        return Character(psub(self.weights, other.weights))
+def det(ch):
+    """Product of weights with multiplicity, a monomial Scalar."""
+    return Scalar({_det_key(ch): 1})
 
-    def __mul__(self, other):
-        """Tensor product."""
-        return Character(pmul(self.weights, other.weights))
 
-    def dual(self):
-        """Invert every weight: the Adams operation with n = -1."""
-        return self.adams(-1)
+def sqrt_det(ch):
+    """Square root of det(ch); stays on the half-integer lattice."""
+    exps = decode(_det_key(ch))
+    if any(e % 2 for e in exps):
+        raise ValueError("determinant is not a square on the half lattice")
+    return Scalar({encode(tuple(e // 2 for e in exps)): 1})
 
-    def scale(self, w):
-        """Multiply every weight by a monomial Scalar."""
-        return Character(pmul(self.weights, {_weight_key(w): 1}))
 
-    def adams(self, n):
-        """Raise every weight to the n-th power."""
-        return Character(padams(self.weights, n))
+def lambda_dot(ch):
+    """K-theoretic Euler class prod (1 - w^{-1})^mult as a Scalar.
 
-    def a_part(self, sign):
-        """Sub-character with a-exponent <0, ==0 or >0 according to sign."""
-        sign = (sign > 0) - (sign < 0)
-        return Character({k: m for k, m in self.weights.items()
-                          if ((e := key_exp(k, _A_INDEX)) > 0) - (e < 0)
-                          == sign})
-
-    def _det_key(self):
-        # k - KEY_ONE is linear in the exponents of k, so keys multiply by
-        # adding, as in pmul
-        return KEY_ONE + sum(m * (k - KEY_ONE)
-                             for k, m in self.weights.items())
-
-    def det(self):
-        """Product of weights with multiplicity, a monomial Scalar."""
-        return Scalar({self._det_key(): 1})
-
-    def sqrt_monomial(self):
-        """Square root of det(self); stays on the half-integer lattice."""
-        exps = decode(self._det_key())
-        if any(e % 2 for e in exps):
-            raise ValueError("determinant is not a square on the half lattice")
-        return Scalar({encode(tuple(e // 2 for e in exps)): 1})
-
-    def lambda_dot(self):
-        """K-theoretic Euler class prod (1 - w^{-1})^mult as a Scalar.
-
-        Positive multiplicities go to the numerator, negative ones to the
-        denominator; the empty character gives ONE.
-        """
-        if KEY_ONE in self.weights:
-            raise ValueError("trivial weight has no Koszul factor")
-        num, den = pone(), pone()
-        for k, m in self.weights.items():
-            f = ppow({KEY_ONE: 1, key_inv(k): -1}, abs(m))
-            if m > 0:
-                num = pmul(num, f)
-            else:
-                den = pmul(den, f)
-        return Scalar(num, den)
-
-    def render(self):
-        if not self.weights:
-            return "0"
-        parts = []
-        for k in sorted(self.weights):
-            m = self.weights[k]
-            w = Scalar({k: 1}).render()
-            parts.append(f"{'+' if m > 0 else '-'}{abs(m)}*{w}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"Character({self.render()})"
+    Positive multiplicities go to the numerator, negative ones to the
+    denominator; the empty character gives ONE.
+    """
+    if KEY_ONE in ch:
+        raise ValueError("trivial weight has no Koszul factor")
+    num, den = pone(), pone()
+    for k, m in ch.items():
+        f = ppow({KEY_ONE: 1, key_inv(k): -1}, abs(m))
+        if m > 0:
+            num = pmul(num, f)
+        else:
+            den = pmul(den, f)
+    return Scalar(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +196,7 @@ def taut_character(lams, framing):
         for (r, c) in boxes(lam):
             k = fk + c * _DT1 + r * _DT2
             d[k] = d.get(k, 0) + 1
-    return Character(d)
+    return d
 
 
 def tangent_hilb(lam, orientation="arms_t1"):
@@ -262,7 +217,7 @@ def tangent_hilb(lam, orientation="arms_t1"):
         for (e1, e2) in ((a_ + 1, -l_), (-a_, l_ + 1)):
             k = KEY_ONE + e1 * _DT1 + e2 * _DT2
             d[k] = d.get(k, 0) + 1
-    return Character(d)
+    return d
 
 
 def framing_M2():
@@ -285,25 +240,27 @@ def polarization_M2(lam1, lam2, variant="canonical"):
     """
     framing = framing_M2()
     V = taut_character((lam1, lam2), framing)
-    W = Character.from_weights(framing)
+    W = from_weights(framing)
     t2 = Scalar.var("t2")
-    VsV = V.dual() * V
+    Vs = dual(V)
+    VsV = pmul(Vs, V)
     if variant == "canonical":
-        half = W * V.dual() + VsV.scale(t2) - VsV
-    elif variant == "four_term":
-        half = W.dual() * V + VsV.scale(t2.inverse()) \
-            - VsV.scale(HBAR.inverse()) - VsV
-    elif variant == "proof":
-        half = (W.dual() * V).scale(HBAR)
-    else:
-        raise ValueError(f"unknown polarization variant {variant!r}")
-    return half
+        return psub(padd(pmul(W, Vs), scale(VsV, t2)), VsV)
+    if variant == "four_term":
+        return psub(psub(padd(pmul(dual(W), V), scale(VsV, t2.inverse())),
+                         scale(VsV, HBAR.inverse())), VsV)
+    if variant == "proof":
+        return scale(pmul(dual(W), V), HBAR)
+    raise ValueError(f"unknown polarization variant {variant!r}")
 
 
 def tangent_M2(lam1, lam2, variant="canonical"):
     """Full tangent character T^(1/2) + hbar * dual(T^(1/2))."""
-    half = polarization_M2(lam1, lam2, variant)
-    return half + half.dual().scale(HBAR)
+    return _completed(polarization_M2(lam1, lam2, variant))
+
+
+def _completed(half):
+    return padd(half, scale(dual(half), HBAR))
 
 
 def o_line_eigen(lam1, lam2, which="full"):
@@ -317,14 +274,14 @@ def o_line_eigen(lam1, lam2, which="full"):
              "first": ((lam1,), (ONE,))}
     if which not in parts:
         raise ValueError(f"unknown component {which!r}")
-    return taut_character(*parts[which]).dual().det()
+    return det(dual(taut_character(*parts[which])))
 
 
 def chern_eigen(lams, framing, k):
     """k-th elementary symmetric function of the box weights."""
     if k < 0 or k > sum(size(l) for l in lams):
         raise ValueError(f"chern index {k} out of range")
-    weights = taut_character(lams, framing).weights
+    weights = taut_character(lams, framing)
     if any(m < 0 for m in weights.values()):
         raise ValueError("character is not effective")
     # elementary symmetric polynomials by sequential convolution on keys, in
@@ -359,15 +316,14 @@ def delta_11(lam1, lam2, variant="proof"):
     """
     n = size(lam1) + size(lam2)
     half = polarization_M2(lam1, lam2, variant)
-    tangent = half + half.dual().scale(HBAR)
-    n_minus = tangent.a_part(-1)
-    euler = n_minus.lambda_dot()
+    n_minus = a_part(_completed(half), -1)
+    euler = lambda_dot(n_minus)
     hbar_pow = HBAR ** (-n)
     if variant == "proof":
-        return hbar_pow * half.a_part(-1).det().inverse() * euler
+        return hbar_pow * det(a_part(half, -1)).inverse() * euler
     if variant == "four_term":
-        nontrivial = (half.a_part(-1) + half.a_part(1))
-        ratio = n_minus - nontrivial  # det(N^-)/det(T_{!=0}) as a character
-        root = ratio.sqrt_monomial()
-        return hbar_pow * root * euler
+        nontrivial = padd(a_part(half, -1), a_part(half, 1))
+        # det(N^-)/det(T_{!=0}) as a character
+        ratio = psub(n_minus, nontrivial)
+        return hbar_pow * sqrt_det(ratio) * euler
     raise ValueError(f"unknown delta variant {variant!r}")

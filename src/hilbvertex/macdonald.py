@@ -55,10 +55,10 @@ from operator import mul
 
 # pmul is not called here, but perfbench/selftest.py reads macdonald.pmul
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
-                     pmul, pmul_int, decode, encode, key_var, VARIABLES,
-                     solve_poly_system)
+                     padams, pmul, pmul_int, decode, encode, key_var,
+                     VARIABLES, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
-                         arm, leg, tangent_hilb)
+                         arm, leg, tangent_hilb, lambda_dot)
 from .fock import FockElement, _mults
 
 # Macdonald parameters on the engine lattice: q = t1^(-2), t = t2^(-2)
@@ -476,7 +476,7 @@ def macd_H_axioms(n):
 @cache
 def euler_hilb(lam, orientation="arms_t1"):
     """Fixed-point Euler class: Koszul product of the squared tangent weights."""
-    return tangent_hilb(lam, orientation).adams(2).lambda_dot()
+    return lambda_dot(padams(tangent_hilb(lam, orientation), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,27 @@ import random
 
 import pytest
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, A, HBAR
-from hilbvertex.characters import (Character, partitions, conjugate, size,
-                                   boxes, arm, leg, taut_character,
-                                   tangent_hilb, polarization_M2, tangent_M2,
-                                   delta_11, o_line_eigen, chern_eigen,
-                                   fixed_points_rank2, framing_M2)
+from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, A, HBAR, padd,
+                               decode, encode)
+from hilbvertex.characters import (partitions, conjugate, size, boxes, arm,
+                                   leg, taut_character, tangent_hilb,
+                                   polarization_M2, tangent_M2, delta_11,
+                                   o_line_eigen, chern_eigen,
+                                   fixed_points_rank2, framing_M2,
+                                   from_weights, dual, a_part, det,
+                                   lambda_dot)
 from hilbvertex.macdonald import euler_hilb
 
 rng = random.Random(515)
 
 
+def rank(ch):
+    return sum(ch.values())
+
+
 def weight_set(ch):
     out = []
-    for k, m in ch.weights.items():
+    for k, m in ch.items():
         out.extend([Scalar({k: 1}).render()] * abs(m))
     return sorted(out)
 
@@ -45,18 +52,17 @@ def test_box_keys_match_the_weight_products():
     # the keys built from the t1 and t2 steps are those of the monomials
     # framing * t1^col * t2^row, in the same order
     for lams, framing in (((3, 1),), (ONE,)), (((2, 2), (1,)), (HBAR, A)):
-        want = Character.from_weights(
+        want = from_weights(
             fr * T1 ** c * T2 ** r
             for lam, fr in zip(lams, framing) for (r, c) in boxes(lam))
         got = taut_character(lams, framing)
-        assert list(got.weights.items()) == list(want.weights.items())
+        assert list(got.items()) == list(want.items())
     for lam in ((3, 1), (2, 2, 1)):
-        want = Character.from_weights(
+        want = from_weights(
             w for (r, c) in boxes(lam)
             for w in (T1 ** (arm(lam, r, c) + 1) * T2 ** -leg(lam, r, c),
                       T1 ** -arm(lam, r, c) * T2 ** (leg(lam, r, c) + 1)))
-        assert list(tangent_hilb(lam).weights.items()) == list(
-            want.weights.items())
+        assert list(tangent_hilb(lam).items()) == list(want.items())
 
 
 def test_tangent_hilb_examples():
@@ -65,19 +71,18 @@ def test_tangent_hilb_examples():
         ["t1^2", "(t2) / (t1)", "t1", "t2"])
     for n in range(7):
         for lam in partitions(n):
-            assert tangent_hilb(lam).rank() == 2 * size(lam)
+            assert rank(tangent_hilb(lam)) == 2 * size(lam)
 
 
 def test_tangent_swap_conjugate_symmetry():
     # swapping t1 <-> t2 matches conjugating the partition
     def swapped(ch):
         out = {}
-        for k, m in ch.weights.items():
-            from hilbvertex.scalar import decode, encode
+        for k, m in ch.items():
             e = list(decode(k))
             e[0], e[1] = e[1], e[0]
             out[encode(tuple(e))] = m
-        return Character(out)
+        return out
     for n in range(7):
         for lam in partitions(n):
             assert swapped(tangent_hilb(lam)) == tangent_hilb(conjugate(lam))
@@ -87,28 +92,28 @@ def test_tangent_swap_conjugate_symmetry():
 
 
 def test_lambda_dot_examples():
-    c1 = Character.from_weights([T1])
-    assert c1.lambda_dot() == ONE - T1.inverse()
-    c2 = Character.from_weights([T1, T2])
-    assert c2.lambda_dot() == (ONE - T1.inverse()) * (ONE - T2.inverse())
+    c1 = from_weights([T1])
+    assert lambda_dot(c1) == ONE - T1.inverse()
+    c2 = from_weights([T1, T2])
+    assert lambda_dot(c2) == (ONE - T1.inverse()) * (ONE - T2.inverse())
     # monoid homomorphism
-    assert (c1 + c2).lambda_dot() == c1.lambda_dot() * c2.lambda_dot()
+    assert lambda_dot(padd(c1, c2)) == lambda_dot(c1) * lambda_dot(c2)
     with pytest.raises(ValueError):
-        Character.from_weights([ONE]).lambda_dot()
+        lambda_dot(from_weights([ONE]))
 
 
 def test_character_duality_and_det():
     for _ in range(10):
         ws = [T1 ** rng.randint(-2, 2) * T2 ** rng.randint(-2, 2) * A
               for _ in range(rng.randint(1, 4))]
-        c = Character.from_weights(ws)
-        assert c.dual().dual() == c
-        d = Character.from_weights([T2, Q])
-        assert (c + d).det() == c.det() * d.det()
+        c = from_weights(ws)
+        assert dual(dual(c)) == c
+        d = from_weights([T2, Q])
+        assert det(padd(c, d)) == det(c) * det(d)
 
 
 def test_polarization_examples():
-    assert polarization_M2((), (), "proof").is_zero()
+    assert polarization_M2((), (), "proof") == {}
     pol = polarization_M2((), (1,), "proof")
     assert weight_set(pol) == sorted([(HBAR / A).render(), HBAR.render()])
 
@@ -117,15 +122,15 @@ def test_tangent_M2_rank_and_fixed_part():
     for n in (1, 2, 3):
         for (l1, l2) in fixed_points_rank2(n):
             T = tangent_M2(l1, l2, "canonical")
-            assert T.rank() == 4 * n
-            assert T.a_part(0) == tangent_hilb(l1) + tangent_hilb(l2)
+            assert rank(T) == 4 * n
+            assert a_part(T, 0) == padd(tangent_hilb(l1), tangent_hilb(l2))
 
 
 def test_four_term_polarization_is_rank_deficient():
     # the displayed four-term half has rank 2n - n^2, not 2n; kept only for
     # the empirical comparison in the limit check
     pol = polarization_M2((1,), (1,), "four_term")
-    assert pol.rank() != 2 * 2
+    assert rank(pol) != 2 * 2
 
 
 def test_o_line_examples():
@@ -146,7 +151,7 @@ def test_chern_examples():
 
 def _chern_by_scalar_convolution(lams, framing, k):
     ws = []
-    for key, m in sorted(taut_character(lams, framing).weights.items()):
+    for key, m in sorted(taut_character(lams, framing).items()):
         ws.extend([Scalar({key: 1})] * m)
     e = [ONE] + [ZERO] * k
     for w in ws:
@@ -172,7 +177,7 @@ def test_chern_matches_the_elementary_symmetric_sum():
         cases += [(pair, (ONE, A)) for pair in fixed_points_rank2(n)]
         for lams, framing in cases:
             ws = [Scalar({key: 1}) for key, m in
-                  taut_character(lams, framing).weights.items()
+                  taut_character(lams, framing).items()
                   for _ in range(m)]
             for k in range(n + 1):
                 want = ZERO
