@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, LimitError,
-                     VARIABLES, key_exp, padd, pconst, pmul, pone)
+                     VARIABLES, key_exp, pconst, pmul, pone)
 from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
@@ -473,13 +473,27 @@ def _w_numerator(k):
     return {j: c.num for j, c in N.items()}
 
 
+def _add_into(out, j, f):
+    """out[j] += f in place, zero coefficients kept: see _pruned."""
+    acc = out.setdefault(j, {})
+    get = acc.get
+    for k, c in f.items():
+        acc[k] = get(k, 0) + c
+
+
+def _pruned(out):
+    """{w-degree: poly} without zero coefficients and zero polynomials."""
+    out = {j: {k: c for k, c in f.items() if c} for j, f in out.items()}
+    return {j: f for j, f in out.items() if f}
+
+
 def _wmul(f, g):
     """Product of two polynomials in w, {w-degree: poly}."""
     out = {}
     for i, a in f.items():
         for j, b in g.items():
-            out[i + j] = padd(out.get(i + j, {}), pmul(a, b))
-    return {j: c for j, c in out.items() if c}
+            _add_into(out, i + j, pmul(a, b))
+    return _pruned(out)
 
 
 def capped_vertex_table(n):
@@ -523,9 +537,9 @@ def capped_vertex_table(n):
         num = {}
         for rho, h in zip(H, row):
             for j, c in terms[rho].items():
-                num[j] = padd(num.get(j, {}), pmul(h, c))
+                _add_into(num, j, pmul(h, c))
         r = ratio(lam, "arms_t1")
-        num = {j: pmul(r.num, c) for j, c in num.items() if c}
+        num = {j: pmul(r.num, c) for j, c in _pruned(num).items()}
         q_free = q_free and not any(key_exp(key, _Q_INDEX)
                                     for c in num.values() for key in c)
         entries[lam] = ({j: Scalar(pmul(c, hq[j].num), pmul(r.den, one))
@@ -756,7 +770,8 @@ Target = namedtuple("Target", "check oriented orders")
 # exponent to compare; below z^2 several (reading, shift) pairs satisfy
 # `main`, so it cannot name one shift ((1, 1) matches 4 pairs, (y, 0) all
 # 90); rationality below n = 1 covers no degree, and prop4 below n = 0 no k.
-# An order left unset runs at the check's own default.
+# An order left unset runs at the check's own default; `verify` refuses one
+# that none of its targets reads.
 VERIFY_TARGETS = {
     "kernel": Target(check_kernel_identity, True, {"y": ("N", 1)}),
     "mellit": Target(check_mellit, True, {"y": ("N", 1)}),

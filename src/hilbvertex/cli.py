@@ -76,6 +76,11 @@ def cmd_verify(args):
     _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
              "n": ("--n", args.n)}
+    read = {key for t in targets for key in VERIFY_TARGETS[t].orders}
+    for key, (flag, value) in given.items():
+        if value is not None and key not in read:
+            raise ConfigError(f"{flag} is read by none of the targets "
+                              f"{', '.join(targets)}")
     for t in targets:
         for key, (_, lowest) in VERIFY_TARGETS[t].orders.items():
             flag, value = given[key]

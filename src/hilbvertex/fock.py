@@ -127,10 +127,6 @@ class _PowerSums:
                 return False
         return True
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
 
 class FockElement(_PowerSums):
     __slots__ = ()

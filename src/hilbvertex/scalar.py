@@ -545,10 +545,6 @@ class Scalar:
             return self.num == other.num
         return pmul(self.num, other.den) == pmul(other.num, self.den)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     # -- domain operations ----------------------------------------------------
 
     def adams(self, k):

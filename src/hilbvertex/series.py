@@ -139,10 +139,6 @@ class Series:
         keys = set(self.coeffs) | set(other.coeffs)
         return all(self.coefficient(*k) == other.coefficient(*k) for k in keys)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     # -- series operations -----------------------------------------------------------
 
     def exp(self):

@@ -52,6 +52,22 @@ def test_verify_rejects_orders_below_the_lowest(argv):
     assert main(["verify", *argv]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--n", "2"],
+    ["prop1", "--ymax", "2"],
+    ["rationality", "prop4", "--zmax", "3"],
+    ["kernel", "mellit", "--ymax", "2", "--n", "2"],
+])
+def test_verify_refuses_an_order_no_target_reads(monkeypatch, capsys, argv):
+    # the check would run at its default order, not at the one asked for
+    ran = []
+    monkeypatch.setattr(hilbvertex.cli, "run_check",
+                        lambda *a: ran.append(a))
+    assert main(["verify", *argv]) == EXIT_USAGE
+    assert ran == []
+    assert "is read by none of the targets" in capsys.readouterr().err
+
+
 def test_verify_rationality_above_the_table_cap_builds_nothing(monkeypatch):
     built = []
     monkeypatch.setattr(hilbvertex.checks, "capped_vertex_table",
