@@ -75,8 +75,11 @@ def cmd_verify(args):
                           "line per check in every format")
     _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
-             "n": ("--n", args.n)}
+             "n": ("--n", args.n),
+             "orientation": ("--orientation", args.orientation)}
     read = {key for t in targets for key in VERIFY_TARGETS[t].orders}
+    if any(VERIFY_TARGETS[t].oriented for t in targets):
+        read.add("orientation")
     for key, (flag, value) in given.items():
         if value is not None and key not in read:
             raise ConfigError(f"{flag} is read by none of the targets "
@@ -86,9 +89,11 @@ def cmd_verify(args):
             flag, value = given[key]
             if value is not None and value < lowest:
                 raise ConfigError(f"verify {t} needs {flag} >= {lowest}")
+    orientation = (args.orientation
+                   or DEFAULT_CONVENTIONS["tangent_orientation"])
     reports = []
     for t in targets:
-        rep = run_check(t, args.ymax, args.zmax, args.n, args.orientation)
+        rep = run_check(t, args.ymax, args.zmax, args.n, orientation)
         reports.append(rep)
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name} "
               f"orders={rep.orders} ({rep.seconds:.2f}s)")
@@ -194,9 +199,8 @@ def build_parser():
     sp.add_argument("targets", nargs="*",
                     help=f"subset of {', '.join(VERIFY_TARGETS)}, or all")
     sp.add_argument("--orientation", choices=("arms_t1", "arms_t2"),
-                    default=DEFAULT_CONVENTIONS["tangent_orientation"],
                     help="override the calibrated tangent orientation "
-                         "(negative control)")
+                         "(negative control) of the targets that take one")
     add_flags(sp, "ymax", "zmax", "n", "format", "out")
     # no default format, so that a --format given without --out is seen
     sp.set_defaults(fn=cmd_verify, format=None)

@@ -17,6 +17,11 @@ algebra.  Two independent constructions serve as cross-checks:
     degree 4, so it serves at small degree only.
 
 MacdonaldBasis.certify checks the basis actually built against these axioms.
+It runs each p_rho coefficient of a row as one Python int, one slot per
+q^i t^j (Kronecker substitution), wide enough for an explicit bound on every
+coefficient: the twist by prod_{k in rho} (1 - x^k) is then shifts and
+subtractions, and each Schur coefficient a few big-integer multiply-adds
+(_twisted_schur).
 
 Two closed rules give the transitions between the classical bases
 (Macdonald, "Symmetric Functions and Hall Polynomials", I.2 and I.7):
@@ -26,12 +31,13 @@ character_table, and s_lam = sum_rho chi^lam(rho) p_rho / z_rho.
 
 Also here: the fixed-point factors as cached functions of lam (the Euler
 factor, the tangent character with every weight squared fed to the Koszul
-product; the norm w_lam below; their ratio), and MacdonaldBasis, which
-holds H_lam and its certificate.  On it rest decomposition into the H-basis
-and the localization sum over fixed points of a given degree.  The identity
-checks do not expand that sum: they pair each side with one H_lam at a time
-(see below), and localization_sum is the direct reference sum they are
-tested against.
+product; the norm w_lam below; their ratio, formed by cancelling the
+binomial factors of the two, so that neither is expanded), and
+MacdonaldBasis, which holds H_lam and its certificate.  On it rest
+decomposition into the H-basis and the localization sum over fixed points of
+a given degree.  The identity checks do not expand that sum: they pair each
+side with one H_lam at a time (see below), and localization_sum is the
+direct reference sum they are tested against.
 
 Decomposition uses the Garsia-Haiman *-scalar product
 
@@ -53,10 +59,9 @@ from functools import cache, reduce
 from math import factorial, lcm, prod
 from operator import mul
 
-# pmul is not called here, but perfbench/selftest.py reads macdonald.pmul
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
-                     padams, pmul, pmul_int, decode, encode, key_var,
-                     VARIABLES, solve_poly_system)
+                     padams, pmul, pmul_int, ppow, decode, encode, key_exp,
+                     key_inv, key_var, VARIABLES, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb, lambda_dot)
 from .fock import FockElement, _mults
@@ -71,7 +76,7 @@ _DT = key_var("t2", -4) - KEY_ONE
 # largest degree of the basis, and so of the localization checks
 MAX_DEGREE = 8
 
-_T2_INDEX = VARIABLES.index("t2")
+_T1_INDEX, _T2_INDEX = VARIABLES.index("t1"), VARIABLES.index("t2")
 
 
 def _invert_t2(x):
@@ -182,24 +187,79 @@ def character_table(n):
     return out
 
 
+def _qt_exps(key):
+    """(i, j) with key the key KEY_ONE + i * _DQ + j * _DT of q^i t^j."""
+    return key_exp(key, _T1_INDEX) // -4, key_exp(key, _T2_INDEX) // -4
+
+
 def _twisted_schur(f, step, chars):
     """{lam: s_lam coefficient of f[X(1-x)]} for the lam in chars.
 
-    f maps rho to the p_rho coefficient, a polynomial over a denominator the
-    caller keeps; x is the monomial with key KEY_ONE + step.  The plethysm
-    multiplies the p_rho coefficient by prod_{k in rho} (1 - x^k), and the
-    s_lam coefficient of g is sum_rho chi[lam][rho] g_rho.
+    f maps rho to the p_rho coefficient, a polynomial in q and t over a
+    denominator the caller keeps; x is q (step _DQ) or t (step _DT).  The
+    plethysm multiplies the p_rho coefficient by prod_{k in rho} (1 - x^k),
+    and the s_lam coefficient of g is sum_rho chi[lam][rho] g_rho over the
+    nonzero characters.
+
+    Each coefficient runs as one Python int, by Kronecker substitution: the
+    coefficient of q^i t^j is the balanced base-2^B digit of the slot
+    i J + j, with the rows and the width J left room for the twist's degree
+    n in x.  A factor 1 - x^k is then one shift and one subtraction, and an
+    s_lam coefficient a few big-integer multiply-adds.  Each factor at most
+    doubles the sum of absolute coefficients, so no digit of a result
+    exceeds max_rho sum|f_rho| 2^n max_lam sum_rho |chi[lam][rho]|; B, a
+    whole number of bytes, exceeds the bits of that bound, so every digit is
+    read exactly and a result is zero exactly when its int is.  Only the
+    nonzero results are decoded.
     """
     out = {lam: {} for lam in chars}
-    for rho, c in f.items():
+    exps = {k: _qt_exps(k) for k in set().union(*f.values())}
+    if not exps or not chars:
+        return out
+    n = sum(next(iter(f)))
+    bound = (max(sum(map(abs, c.values())) for c in f.values()) << n) * max(
+        sum(map(abs, chi.values())) for chi in chars.values())
+    nbytes = (bound.bit_length() + 8) // 8
+    bits, half = 8 * nbytes, 1 << (8 * nbytes - 1)
+    (i0, i1), (j0, j1) = ((min(e), max(e)) for e in zip(*exps.values()))
+    si, sj = _qt_exps(KEY_ONE + step)
+    width = j1 - j0 + 1 + n * sj
+    slots = (i1 - i0 + 1 + n * si) * width
+    at = {k: ((i - i0) * width + j - j0) * nbytes
+          for k, (i, j) in exps.items()}
+    # every slot holds its digit plus half, so that no digit borrows
+    empty = bytes(nbytes - 1) + b"\x80"
+    offset = int.from_bytes(empty * slots, "little")
+
+    def pack(c):
+        buf = bytearray(empty * slots)
+        for k, v in c.items():
+            buf[at[k]:at[k] + nbytes] = (v + half).to_bytes(nbytes, "little")
+        return int.from_bytes(buf, "little") - offset
+
+    def unpack(x):
+        raw = (x + offset).to_bytes(slots * nbytes, "little")
+        poly = {}
+        for slot in range(slots):
+            v = int.from_bytes(raw[slot * nbytes:(slot + 1) * nbytes],
+                               "little") - half
+            if v:
+                i, j = divmod(slot, width)
+                poly[KEY_ONE + (i + i0) * _DQ + (j + j0) * _DT] = v
+        return poly
+
+    shift = (si * width + sj) * bits
+    twisted = {}
+    for rho, terms in f.items():
+        c = pack(terms)
         for k in rho:
-            c = padd(c, {key + k * step: -v for key, v in c.items()})
-        for lam, chi in chars.items():
-            acc, x = out[lam], chi.get(rho, 0)
-            for key, v in c.items():
-                acc[key] = acc.get(key, 0) + x * v
-    return {lam: {k: v for k, v in acc.items() if v}
-            for lam, acc in out.items()}
+            c -= c << (k * shift)
+        twisted[rho] = c
+    for lam, chi in chars.items():
+        x = sum(v * twisted[rho] for rho, v in chi.items() if rho in twisted)
+        if x:
+            out[lam] = unpack(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +533,15 @@ def macd_H_axioms(n):
 # calibrated Euler factor of the fixed points
 # ---------------------------------------------------------------------------
 
+def _euler_weights(lam, orientation):
+    """The squared tangent weights at lam, one Koszul factor 1 - w^-1 each."""
+    return padams(tangent_hilb(lam, orientation), 2)
+
+
 @cache
 def euler_hilb(lam, orientation="arms_t1"):
     """Fixed-point Euler class: Koszul product of the squared tangent weights."""
-    return lambda_dot(padams(tangent_hilb(lam, orientation), 2))
+    return lambda_dot(_euler_weights(lam, orientation))
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +557,64 @@ def star_weight(rho):
     return w
 
 
+def _norm_factors(lam):
+    """The factors (q^a - t^(l+1)) and (t^l - q^(a+1)) of w_lam, box by box,
+    each as the keys of its two monomials."""
+    for (r, c) in boxes(lam):
+        a, l = arm(lam, r, c), leg(lam, r, c)
+        yield KEY_ONE + a * _DQ, KEY_ONE + (l + 1) * _DT
+        yield KEY_ONE + l * _DT, KEY_ONE + (a + 1) * _DQ
+
+
 @cache
 def norm(lam):
     """w_lam = <H_lam, H_lam>_* = prod over boxes (q^a - t^(l+1)) (t^l - q^(a+1))."""
-    w = ONE
-    for (r, c) in boxes(lam):
-        a, l = arm(lam, r, c), leg(lam, r, c)
-        w = w * (Q_MACD ** a - T_MACD ** (l + 1)) * (T_MACD ** l
-                                                     - Q_MACD ** (a + 1))
-    return w
+    return Scalar(reduce(pmul, ({m1: 1, m2: -1} for m1, m2
+                                in _norm_factors(lam)), pone()))
+
+
+def _unit_binomial(m1, m2):
+    """(sign, m, x) with m1 - m2 = sign m (1 - x), monomials as keys; x is
+    whichever of m2/m1 and m1/m2 has the larger key."""
+    x = m2 - m1 + KEY_ONE
+    if x > KEY_ONE:
+        return 1, m1, x
+    return -1, m2, key_inv(x)
 
 
 @cache
 def ratio(lam, orientation):
-    """euler_hilb(lam, orientation) / norm(lam), reduced.
+    """euler_hilb(lam, orientation) / norm(lam), reduced, with neither one
+    expanded.
 
     A pairing <f, H_lam>_* times this ratio is the restriction of f to the
-    fixed point lam.  In arms_t1 it is the monomial t1^(2n(lam'))
-    t2^(2n(lam)) (checked for |lam| <= 7).  The division stays general: in
-    arms_t2 the ratio is a monomial only at the self-conjugate lam.
+    fixed point lam.  Each Euler factor 1 - w^-1 (w a squared tangent
+    weight) and each norm factor is written as sign * monomial * (1 - x),
+    with x the larger of x and 1/x, and the two multisets of factors 1 - x
+    cancel.  In arms_t1 they cancel box by box, for every lam: at the box
+    with arm a and leg l the squared weights are w = q^-(a+1) t^l and
+    q^a t^-(l+1), whose factors 1 - w^-1 are t^-l (t^l - q^(a+1)) and
+    q^-a (q^a - t^(l+1)).  So the ratio is prod_box q^-a t^-l, the monomial
+    t1^(2n(lam')) t2^(2n(lam)).  In arms_t2, arms_t1 at lam', the factors
+    left over are multiplied out and reduced: the ratio is a monomial only
+    at the self-conjugate lam.
     """
-    return (euler_hilb(lam, orientation) / norm(lam)).reduced()
+    sign, mono, net = 1, KEY_ONE, {}
+    factors = [((KEY_ONE, key_inv(w)), e)
+               for w, e in _euler_weights(lam, orientation).items()]
+    factors += [(pair, -1) for pair in _norm_factors(lam)]
+    for (m1, m2), e in factors:
+        s, m, x = _unit_binomial(m1, m2)
+        sign *= s ** (e % 2)
+        mono += e * (m - KEY_ONE)
+        net[x] = net.get(x, 0) + e
+    num, den = {mono: sign}, pone()
+    for x, e in net.items():
+        if e > 0:
+            num = pmul(num, ppow({KEY_ONE: 1, x: -1}, e))
+        elif e < 0:
+            den = pmul(den, ppow({KEY_ONE: 1, x: -1}, -e))
+    return Scalar(num, den).reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +652,12 @@ class MacdonaldBasis:
         span of the s_lam with lam >= mu, H~_mu[X(1-t)] in the span of the
         s_lam with lam >= mu', and <H~_mu, s_(n)> = 1 (Haiman, J. Amer. Math.
         Soc. 14, 2001).  Raises ArithmeticError naming mu, the axiom and lam.
+
+        Each row is cleared to integer polynomials in q and t, and
+        _twisted_schur forms the Schur coefficients of both twists on packed
+        integers, with a slot width that no coefficient can overflow, so an
+        axiom holds exactly when every packed coefficient outside its span
+        is the integer 0.
         """
         if n in self._certified:
             return

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import hilbvertex
+from hilbvertex.checks import VerificationReport
 from hilbvertex.cli import (main, build_parser, EXIT_OK, EXIT_MISMATCH,
                             EXIT_USAGE, EXIT_LIMIT)
 
@@ -66,6 +67,35 @@ def test_verify_refuses_an_order_no_target_reads(monkeypatch, capsys, argv):
     assert main(["verify", *argv]) == EXIT_USAGE
     assert ran == []
     assert "is read by none of the targets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ook", "--ymax", "1", "--zmax", "1", "--orientation", "arms_t2"],
+    ["prop1", "rationality", "--orientation", "arms_t1"],
+])
+def test_verify_refuses_an_orientation_no_target_reads(monkeypatch, capsys,
+                                                        argv):
+    # only the localization targets take the orientation; the calibrated
+    # value is refused too, since it would be as unread as the other
+    ran = []
+    monkeypatch.setattr(hilbvertex.cli, "run_check",
+                        lambda *a: ran.append(a))
+    assert main(["verify", *argv]) == EXIT_USAGE
+    assert ran == []
+    assert ("--orientation is read by none of the targets"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flag, want", [
+    ([], "arms_t1"), (["--orientation", "arms_t2"], "arms_t2")])
+def test_verify_passes_the_orientation_on(monkeypatch, flag, want):
+    # a mix of targets reads it, and the calibrated one is the default
+    ran = []
+    monkeypatch.setattr(hilbvertex.cli, "run_check",
+                        lambda *a: ran.append(a) or VerificationReport(
+                            a[0], {}, "exact-match"))
+    assert main(["verify", "ook", "kernel", *flag]) == EXIT_OK
+    assert [(a[0], a[-1]) for a in ran] == [("ook", want), ("kernel", want)]
 
 
 def test_verify_rationality_above_the_table_cap_builds_nothing(monkeypatch):

@@ -6,12 +6,6 @@ import hilbvertex
 PACKAGE = pathlib.Path(hilbvertex.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 
-# module -> imported names that stay although the module never uses them
-KEPT = {
-    # perfbench/selftest.py asserts that macdonald binds pmul
-    "macdonald": {"pmul"},
-}
-
 
 def _unused_imports(source):
     """Names bound by module-level imports that the module never reads."""
@@ -70,7 +64,7 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules and tests
     for path in modules + tests:
         unused = _unused_imports(path.read_text())
-        assert unused == KEPT.get(path.stem, set()), path.name
+        assert unused == set(), path.name
 
 
 def _unused_parameters(source):

@@ -5,15 +5,18 @@ from itertools import permutations
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, decode, encode
+from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, KEY_ONE, decode,
+                               encode, padd)
 from hilbvertex.characters import partitions, conjugate, n_stat
 from hilbvertex import macdonald
 from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,
                                   macd_H_hhl, default_basis, euler_hilb, norm,
                                   ratio, star_weight, Q_MACD, T_MACD,
-                                  character_table, m_to_p, z_mu)
+                                  character_table, m_to_p, z_mu,
+                                  _twisted_schur, _DQ, _DT)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
 from hilbvertex import checks
@@ -120,6 +123,108 @@ def test_certificate_names_mu_axiom_and_lam(corrupt, message):
     corrupt(basis._H[3])
     with pytest.raises(ArithmeticError, match=message):
         basis.certify(3)
+
+
+def _twisted_schur_reference(f, step, chars):
+    """The s_lam coefficients of f[X(1-x)], one dict entry at a time."""
+    out = {lam: {} for lam in chars}
+    for rho, c in f.items():
+        for k in rho:
+            c = padd(c, {key + k * step: -v for key, v in c.items()})
+        for lam, chi in chars.items():
+            acc, x = out[lam], chi.get(rho, 0)
+            for key, v in c.items():
+                acc[key] = acc.get(key, 0) + x * v
+    return {lam: {k: v for k, v in acc.items() if v}
+            for lam, acc in out.items()}
+
+
+# signed integer polynomials in q and t, over several bytes per coefficient
+qt_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 6), st.integers(-2, 6)).map(
+        lambda e: KEY_ONE + e[0] * _DQ + e[1] * _DT),
+    st.integers(-(1 << 70), 1 << 70).filter(bool), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_twisted_schur_equals_the_dict_reference(data):
+    n = data.draw(st.integers(0, 5))
+    table = character_table(n)
+    f = data.draw(st.dictionaries(st.sampled_from(list(table)), qt_polys))
+    step = data.draw(st.sampled_from((_DQ, _DT)))
+    kept = data.draw(st.sets(st.sampled_from(list(table))))
+    chars = {lam: chi for lam, chi in table.items() if lam in kept}
+    assert _twisted_schur(f, step, chars) == _twisted_schur_reference(
+        f, step, chars)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_twisted_schur_reads_a_digit_at_its_bound(sign):
+    # in degree 0 nothing is twisted, and the digit 2^15 all but attains the
+    # bound 2^15 + 1.  It sits next to -1, so that 16-bit slots, one bit
+    # short, would read the pair as the one digit -2^15: the carry out of
+    # the first slot would cancel the second
+    f = {(): {KEY_ONE: sign << 15, KEY_ONE + _DT: -sign}}
+    chars = {(): {(): 1}}
+    for step in (_DQ, _DT):
+        assert _twisted_schur(f, step, chars) == {(): f[()]}
+
+
+def _certificate_error(H, n):
+    """The certificate's message on a basis of degree n holding H, or None."""
+    basis = MacdonaldBasis()
+    basis._H[n] = H
+    try:
+        basis.certify(n)
+    except ArithmeticError as e:
+        return str(e)
+    return None
+
+
+def _doctored(H, mu, rho, extra):
+    """A copy of the degree-n basis H with extra added to H_mu,rho."""
+    out = {lam: dict(row) for lam, row in H.items()}
+    out[mu][rho] = out[mu].get(rho, ZERO) + extra
+    return out
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_one_stray_monomial_fails_the_certificate(monkeypatch, n):
+    # for every (mu, rho), q t^2 added to the p_rho coefficient of H_mu;
+    # the message names what the dict reference names
+    H = macd_H_hhl(n)
+    stray = Scalar.monomial(t1=-4, t2=-8)
+    for mu in H:
+        for rho in partitions(n):
+            bad = _doctored(H, mu, rho, stray)
+            got = _certificate_error(bad, n)
+            with monkeypatch.context() as m:
+                m.setattr(macdonald, "_twisted_schur",
+                          _twisted_schur_reference)
+                want = _certificate_error(bad, n)
+            assert got is not None and got == want, (mu, rho)
+
+
+@pytest.mark.parametrize("extra", [
+    Scalar.monomial(1 << 200, t1=-8, t2=-4),
+    Scalar.monomial((1 << 120) - 1, t1=-8) - Scalar.monomial(t1=-8, t2=-4),
+], ids=["huge", "adjacent_pair"])
+def test_certificate_sees_coefficients_near_the_slot_bound(monkeypatch, extra):
+    # the slot width comes from the doctored row itself; these terms set
+    # its bound, and the pair sits in adjacent t-slots
+    H = macd_H_hhl(3)
+    bad = _doctored(H, (2, 1), (1, 1, 1), extra)
+    f = dict(zip(bad[(2, 1)], macdonald._clear_row(
+        list(bad[(2, 1)].values()))))
+    chars = character_table(3)
+    for step in (_DQ, _DT):
+        assert _twisted_schur(f, step, chars) == _twisted_schur_reference(
+            f, step, chars)
+    got = _certificate_error(bad, 3)
+    with monkeypatch.context() as m:
+        m.setattr(macdonald, "_twisted_schur", _twisted_schur_reference)
+        assert got is not None and got == _certificate_error(bad, 3)
 
 
 def test_decompose_series_roundtrip():
@@ -272,26 +377,44 @@ def test_exp_pairings_of_the_closed_form():
 
 def test_fixed_point_factors_are_cached_functions():
     # one value per process for each lam (and orientation), whichever basis
-    # asks: the basis itself holds only H_lam and its certificate
+    # asks: the basis itself holds only H_lam and its certificate.  ratio
+    # cancels factors and expands neither side: it is checked against the
+    # expanded quotient
     assert vars(MacdonaldBasis()) == {"_H": {}, "_certified": set()}
-    for lam in partitions(4):
-        assert norm(lam) is norm(lam)
-        assert star_weight(lam) is star_weight(lam)
-        for o in ("arms_t1", "arms_t2"):
-            assert euler_hilb(lam, o) is euler_hilb(lam, o)
-            assert ratio(lam, o) is ratio(lam, o)
-            assert ratio(lam, o) == euler_hilb(lam, o) / norm(lam)
+    for n in range(8):
+        for lam in partitions(n):
+            assert norm(lam) is norm(lam)
+            assert star_weight(lam) is star_weight(lam)
+            for o in ("arms_t1", "arms_t2"):
+                assert euler_hilb(lam, o) is euler_hilb(lam, o)
+                assert ratio(lam, o) is ratio(lam, o)
+                assert ratio(lam, o) == euler_hilb(lam, o) / norm(lam)
+
+
+def test_the_pass_path_expands_no_fixed_point_factor():
+    # ratio, and the localization checks that pass through it, call
+    # neither euler_hilb nor norm: those expand only for witnesses
+    for f in (euler_hilb, norm, ratio):
+        f.cache_clear()
+    for o in ("arms_t1", "arms_t2"):
+        ratio((4, 2, 1), o)
+    for check in (checks.check_kernel_identity, checks.check_mellit,
+                  checks.check_osum):
+        assert check(3).passed
+    assert euler_hilb.cache_info().misses == 0
+    assert norm.cache_info().misses == 0
 
 
 def test_ratio_is_a_monomial_in_the_calibrated_orientation():
-    # Euler(lam) / w_lam = t1^(2n(lam')) t2^(2n(lam)) in arms_t1.  arms_t2,
-    # where the kernel check fails, is arms_t1 at lam': it gives a monomial
-    # at the self-conjugate lam only
-    for n in range(8):
+    # Euler(lam) / w_lam = t1^(2n(lam')) t2^(2n(lam)) in arms_t1, stored as
+    # that monomial.  arms_t2, where the kernel check fails, is arms_t1 at
+    # lam': it gives a monomial at the self-conjugate lam only
+    for n in range(11):
         for lam in partitions(n):
             want = Scalar.monomial(t1=4 * n_stat(conjugate(lam)),
                                    t2=4 * n_stat(lam))
-            assert ratio(lam, "arms_t1") == want
+            got = ratio(lam, "arms_t1")
+            assert (got.num, got.den) == (want.num, want.den)
             if lam != conjugate(lam):
                 assert len(ratio(lam, "arms_t2").den) > 1
 
