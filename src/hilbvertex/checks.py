@@ -38,7 +38,7 @@ from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import (MAX_DEGREE, _clear_row, default_basis, euler_hilb,
+from .macdonald import (MAX_DEGREE, clear_row, default_basis, euler_hilb,
                         norm, ratio, star_weight)
 
 _Q_INDEX = VARIABLES.index("q")
@@ -164,7 +164,7 @@ def _compare_by_degree(eig, c, N, orientation):
 
     The identity holds in degree n exactly when, at every fixed point lam,
     the H_lam coefficients agree: <exp, H_lam>_* / w_lam == eig(lam) /
-    Euler(lam).  exp_pairings certifies the basis and pairs the exponential
+    Euler(lam).  exp_pairings pairs the exponential with the certified basis
     through its exponents c_k, so the exponential is never expanded.  The
     equality is tested as p * ratio(lam, orientation) == eig(lam), with
     ratio = Euler(lam) / w_lam the cached function of macdonald.py.  Only
@@ -513,15 +513,15 @@ def capped_vertex_table(n):
 
     with no truncation in z; the numerator has degree at most B = n(n+1)/2,
     the degree of D_n.  The sum runs on integer polynomials, the H_lam row
-    cleared over one integer: the entry is q-free in w exactly when no key
-    of its numerators has a q exponent (q_free).  Last, each w^j is written
-    as z^j (hbar/q)^j, with one Scalar per printed coefficient.
+    of the certified basis (MacdonaldBasis.build_degree) cleared over one
+    integer: the entry is q-free in w exactly when no key of its numerators
+    has a q exponent (q_free).  Last, each w^j is written as z^j (hbar/q)^j,
+    with one Scalar per printed coefficient.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
-    basis = default_basis()
-    basis.certify(n)
+    basis = default_basis().build_degree(n)
     N = {k: _w_numerator(k) for k in range(1, n + 1)}
     terms = {rho: reduce(_wmul, (N[k] for k in rho),
                          {j: pconst(c) for j, c in enumerate(_cofactor(n, rho))
@@ -532,8 +532,8 @@ def capped_vertex_table(n):
     entries = {}
     q_free = True
     for lam in partitions(n):
-        H = basis.H(lam).coeffs
-        *row, one = _clear_row([*H.values(), ONE])
+        H = basis[lam]
+        *row, one = clear_row([*H.values(), ONE])
         num = {}
         for rho, h in zip(H, row):
             for j, c in terms[rho].items():

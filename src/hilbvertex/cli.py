@@ -123,16 +123,19 @@ def _fock_payload(f):
     return rows
 
 
-# series target -> builder of its FockElement at orders (y, z)
-SERIES_TARGETS = {"F": closed_F, "osum": lambda y, z: osum_exponential(y),
-                  "taubar": lambda y, z: mellit_exponential(y)}
+# series target -> (builder of its FockElement, whether it reads a z-order)
+SERIES_TARGETS = {"F": (closed_F, True), "osum": (osum_exponential, False),
+                  "taubar": (mellit_exponential, False)}
 
 
 def cmd_series(args):
     _bounds_check(args)
+    build, reads_z = SERIES_TARGETS[args.target]
+    if args.zmax is not None and not reads_z:
+        raise ConfigError(f"--zmax is not read by series {args.target}")
     y = args.ymax if args.ymax is not None else checks_mod.DEFAULT_Y_ORDER
     z = args.zmax if args.zmax is not None else checks_mod.DEFAULT_Z_ORDER
-    rows = _fock_payload(SERIES_TARGETS[args.target](y, z))
+    rows = _fock_payload(build(y, z) if reads_z else build(y))
     _write(args.format, args.out, rows, ["y", "z", "p", "num", "den"],
            [[r["y"], r["z"], ",".join(map(str, r["p"])), r["num"], r["den"]]
             for r in rows],

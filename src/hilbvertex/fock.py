@@ -20,7 +20,7 @@ multiplication by -p_|k| / d_|k| for k < 0 where
 d_k = (t1^(k/2) - t1^(-k/2)) (t2^(k/2) - t2^(-k/2)).
 """
 
-from functools import cache
+from collections import Counter
 
 from .scalar import Scalar, ZERO, ONE
 from .series import Series
@@ -32,13 +32,6 @@ def heis_denominator(k):
     f1 = Scalar.monomial(t1=k) - Scalar.monomial(t1=-k)
     f2 = Scalar.monomial(t2=k) - Scalar.monomial(t2=-k)
     return f1 * f2
-
-
-def _mults(mu):
-    d = {}
-    for k in mu:
-        d[k] = d.get(k, 0) + 1
-    return d
 
 
 def _merge(a, b):
@@ -198,8 +191,8 @@ def exp_linear(c, N):
 
     out = {}
     for n in range(N + 1):
-        for mu in _partitions_cached(n):
-            mults = _mults(mu)
+        for mu in partitions(n):
+            mults = Counter(mu)
             if any(c.get(k) is None for k in mults):
                 continue
             val = None
@@ -208,11 +201,6 @@ def exp_linear(c, N):
                 val = f if val is None else val * f
             out[mu] = one if val is None else val
     return FockElement(out, N)
-
-
-@cache
-def _partitions_cached(n):
-    return partitions(n)
 
 
 def plethystic_exponents(c1, N):

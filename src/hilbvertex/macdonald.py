@@ -16,12 +16,13 @@ algebra.  Two independent constructions serve as cross-checks:
     Without multivariate gcd its intermediate fractions grow too fast beyond
     degree 4, so it serves at small degree only.
 
-MacdonaldBasis.certify checks the basis actually built against these axioms.
-It runs each p_rho coefficient of a row as one Python int, one slot per
-q^i t^j (Kronecker substitution), wide enough for an explicit bound on every
-coefficient: the twist by prod_{k in rho} (1 - x^k) is then shifts and
-subtractions, and each Schur coefficient a few big-integer multiply-adds
-(_twisted_schur).
+certify checks the table actually built against these axioms, and
+MacdonaldBasis.build_degree stores a degree only once it passes, so a basis
+never serves an uncertified degree.  certify runs each p_rho coefficient of
+a row as one Python int, one slot per q^i t^j (Kronecker substitution), wide
+enough for an explicit bound on every coefficient: the twist by
+prod_{k in rho} (1 - x^k) is then shifts and subtractions, and each Schur
+coefficient a few big-integer multiply-adds (_twisted_schur).
 
 Two closed rules give the transitions between the classical bases
 (Macdonald, "Symmetric Functions and Hall Polynomials", I.2 and I.7):
@@ -33,7 +34,7 @@ Also here: the fixed-point factors as cached functions of lam (the Euler
 factor, the tangent character with every weight squared fed to the Koszul
 product; the norm w_lam below; their ratio, formed by cancelling the
 binomial factors of the two, so that neither is expanded), and
-MacdonaldBasis, which holds H_lam and its certificate.  On it rest
+MacdonaldBasis, which holds the certified H_lam.  On it rest
 decomposition into the H-basis and the localization sum over fixed points of
 a given degree.  The identity checks do not expand that sum: they pair each
 side with one H_lam at a time (see below), and localization_sum is the
@@ -54,17 +55,18 @@ replaced by (-1)^(k-1) k (1-q^k)(1-t^k) c_k (the Cauchy identity; Macdonald,
 off the exponents without expanding the exponential.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from math import factorial, lcm, prod
 from operator import mul
 
-from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst, padd,
+from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst,
                      padams, pmul, pmul_int, ppow, decode, encode, key_exp,
                      key_inv, key_var, VARIABLES, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb, lambda_dot)
-from .fock import FockElement, _mults
+from .fock import FockElement
 
 # Macdonald parameters on the engine lattice: q = t1^(-2), t = t2^(-2)
 Q_MACD = Scalar.monomial(t1=-4)
@@ -93,10 +95,10 @@ def _invert_t2(x):
 
 def z_mu(mu):
     """z_mu = prod_k k^m_k m_k! over the multiplicities m_k of mu."""
-    return prod(k ** m * factorial(m) for k, m in _mults(mu).items())
+    return prod(k ** m * factorial(m) for k, m in Counter(mu).items())
 
 
-def _clear_row(entries):
+def clear_row(entries):
     """Clear the denominators of one equation.
 
     Entries must be Scalars with monomial denominators, which the stored
@@ -141,7 +143,7 @@ def m_to_p(n):
         p_in_h[k] = {}
         for lam in partitions(k):
             c = k * factorial(len(lam) - 1) // prod(
-                map(factorial, _mults(lam).values()))
+                map(factorial, Counter(lam).values()))
             p_in_h[k][lam] = (-1) ** (len(lam) - 1) * c
     parts = partitions(n)
     p = {rho: reduce(_p_mult, [p_in_h[k] for k in rho], {(): 1})
@@ -440,8 +442,8 @@ def macd_P(n):
     out = {}
     for i, lam in enumerate(order):
         lower = order[:i]
-        rows = [_clear_row([gram[(nu, mu)] for nu in lower]
-                           + [gram[(lam, mu)]]) for mu in lower]
+        rows = [clear_row([gram[(nu, mu)] for nu in lower]
+                          + [gram[(lam, mu)]]) for mu in lower]
         xs = solve_poly_system([r[:-1] for r in rows], [r[-1] for r in rows])
         f = dict(m2p[lam])
         for nu, x in zip(lower, xs):
@@ -513,7 +515,7 @@ def macd_H_axioms(n):
 
     out = {}
     for lam in parts:
-        rows = [_clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
+        rows = [clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
                 for A, top in ((Aq, lam), (At, conjugate(lam)))
                 if not dominates(mu, top)]
         rhs = [pzero() for _ in rows] + [pone()]
@@ -618,11 +620,48 @@ def ratio(lam, orientation):
 
 
 # ---------------------------------------------------------------------------
-# the cached basis
+# the certified basis
 # ---------------------------------------------------------------------------
 
+def certify(n, H):
+    """Check the degree-n table H = {mu: {rho: H_mu,rho}} against Haiman's
+    axioms.
+
+    H~_mu is the unique symmetric function with H~_mu[X(1-q)] in the span of
+    the s_lam with lam >= mu, H~_mu[X(1-t)] in the span of the s_lam with
+    lam >= mu', and <H~_mu, s_(n)> = 1 (Haiman, J. Amer. Math. Soc. 14,
+    2001).  Raises ArithmeticError naming mu, the axiom and lam.
+
+    Each row is cleared to integer polynomials in q and t, and _twisted_schur
+    forms the Schur coefficients of both twists on packed integers, with a
+    slot width that no coefficient can overflow, so an axiom holds exactly
+    when every packed coefficient outside its span is the integer 0.
+    """
+    chars = character_table(n)
+    for mu, row in H.items():
+        # polynomials over one common factor, which the cleared ONE holds
+        *coeffs, one = clear_row([*row.values(), ONE])
+        f = dict(zip(row, coeffs))
+        for x, step, top in (("q", _DQ, mu), ("t", _DT, conjugate(mu))):
+            low = {lam: chi for lam, chi in chars.items()
+                   if not dominates(lam, top)}
+            for lam, c in _twisted_schur(f, step, low).items():
+                if c:
+                    raise ArithmeticError(
+                        f"H_{mu} fails the {x}-axiom: H_mu[X(1-{x})] "
+                        f"has a nonzero s_{lam} coefficient")
+        # <f, s_(n)> is the sum of the p-coefficients of f
+        total = Counter()
+        for c in coeffs:
+            total.update(c)
+        if {k: v for k, v in total.items() if v} != one:
+            raise ArithmeticError(
+                f"H_{mu} fails the normalization: its s_({n}) "
+                f"coefficient is not 1")
+
+
 class MacdonaldBasis:
-    """Per-degree cache of H_lam and its certificate, with the pairings,
+    """Per-degree cache of the certified H_lam, with the pairings,
     decomposition and localization sums that rest on them.
 
     The fixed-point factors are the cached functions norm, euler_hilb and
@@ -630,71 +669,34 @@ class MacdonaldBasis:
 
     def __init__(self):
         self._H = {}
-        self._certified = set()
 
     def build_degree(self, n):
+        """The degree-n table {lam: {rho: H_lam,rho}}, built by macd_H_hhl
+        and certified once; a table that fails certify is not stored."""
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} beyond the bound {MAX_DEGREE}")
-        if n in self._H:
-            return
-        self._H[n] = macd_H_hhl(n)
+        H = self._H.get(n)
+        if H is None:
+            H = macd_H_hhl(n)
+            certify(n, H)
+            self._H[n] = H
+        return H
 
     def H(self, lam):
         """H_lam as a FockElement with Scalar coefficients."""
         n = sum(lam)
-        self.build_degree(n)
-        return FockElement(self._H[n][tuple(lam)], n)
-
-    def certify(self, n):
-        """Check the degree-n basis against Haiman's axioms, once.
-
-        H~_mu is the unique symmetric function with H~_mu[X(1-q)] in the
-        span of the s_lam with lam >= mu, H~_mu[X(1-t)] in the span of the
-        s_lam with lam >= mu', and <H~_mu, s_(n)> = 1 (Haiman, J. Amer. Math.
-        Soc. 14, 2001).  Raises ArithmeticError naming mu, the axiom and lam.
-
-        Each row is cleared to integer polynomials in q and t, and
-        _twisted_schur forms the Schur coefficients of both twists on packed
-        integers, with a slot width that no coefficient can overflow, so an
-        axiom holds exactly when every packed coefficient outside its span
-        is the integer 0.
-        """
-        if n in self._certified:
-            return
-        self.build_degree(n)
-        chars = character_table(n)
-        for mu, H in self._H[n].items():
-            # polynomials over one common factor, which the cleared ONE holds
-            *coeffs, one = _clear_row([*H.values(), ONE])
-            f = dict(zip(H, coeffs))
-            for x, step, top in (("q", _DQ, mu), ("t", _DT, conjugate(mu))):
-                low = {lam: chi for lam, chi in chars.items()
-                       if not dominates(lam, top)}
-                for lam, c in _twisted_schur(f, step, low).items():
-                    if c:
-                        raise ArithmeticError(
-                            f"H_{mu} fails the {x}-axiom: H_mu[X(1-{x})] "
-                            f"has a nonzero s_{lam} coefficient")
-            # <f, s_(n)> is the sum of the p-coefficients of f
-            if reduce(padd, coeffs, pzero()) != one:
-                raise ArithmeticError(
-                    f"H_{mu} fails the normalization: its s_({n}) "
-                    f"coefficient is not 1")
-        self._certified.add(n)
+        return FockElement(self.build_degree(n)[tuple(lam)], n)
 
     def pairings(self, f, n):
         """{lam: <f, H_lam>_*} for the degree-n slice of f.
 
-        Certifies the basis first: these give the H_lam coefficients only on
-        the basis the axioms determine.  f is a FockElement with Scalar or
-        Series coefficients.  Each f_rho <p_rho, p_rho>_* is reduced once:
-        the weight cancels the (1-t1^2k)(1-t2^2k) denominators of the
-        generating functions, so these terms, and with them the pairings,
-        are Laurent polynomials over an integer.  This is the route for a
-        general f; an exponential of a form linear in the p_k pairs faster
-        through exp_pairings.
+        f is a FockElement with Scalar or Series coefficients.  Each f_rho
+        <p_rho, p_rho>_* is reduced once: the weight cancels the
+        (1-t1^2k)(1-t2^2k) denominators of the generating functions, so these
+        terms, and with them the pairings, are Laurent polynomials over an
+        integer.  This is the route for a general f; an exponential of a form
+        linear in the p_k pairs faster through exp_pairings.
         """
-        self.certify(n)
         return self._pair(n, {rho: (f.coeffs[rho] * star_weight(rho)).reduced()
                               for rho in partitions(n) if rho in f.coeffs})
 
@@ -709,10 +711,8 @@ class MacdonaldBasis:
         *-product).  Each g_k is reduced once, each g_rho formed once and
         shared by every lam, and the exponential is never expanded.  `c`
         maps k to Scalar or Series exponents, as for fock.exp_linear; a
-        missing c_k is zero, and the empty product is ONE.  Certifies the
-        basis first, as pairings does.
+        missing c_k is zero, and the empty product is ONE.
         """
-        self.certify(n)
         g = {k: (ck * star_weight((k,))).reduced()
              for k, ck in c.items() if k <= n}
         terms = {(): ONE}
@@ -724,7 +724,7 @@ class MacdonaldBasis:
     def _pair(self, n, terms):
         """{lam: sum_rho H_lam,rho terms[rho]}, a missing term being zero."""
         out = {}
-        for lam, H in self._H[n].items():
+        for lam, H in self.build_degree(n).items():
             total = ZERO
             for rho, h in H.items():
                 t = terms.get(rho)

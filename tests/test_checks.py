@@ -302,12 +302,20 @@ def test_vertex_table_n2_entries_are_small():
 
 
 def test_vertex_table_certifies_its_basis(monkeypatch):
+    # the degree-2 build gives H_(1,1) = H_(2); the table reads its basis
+    # through build_degree, which refuses that table and stores nothing
+    build = macdonald.macd_H_hhl
+
+    def doctored(n):
+        H = build(n)
+        H[(1, 1)] = H[(2,)]
+        return H
+    monkeypatch.setattr(macdonald, "macd_H_hhl", doctored)
     basis = MacdonaldBasis()
-    basis.build_degree(2)
-    basis._H[2][(1, 1)] = basis._H[2][(2,)]
     monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)
     with pytest.raises(ArithmeticError, match=r"H_\(1, 1\) fails"):
         capped_vertex_table(2)
+    assert basis._H == {}
 
 
 def test_vertex_table_bounds():

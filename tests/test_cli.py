@@ -157,6 +157,8 @@ def test_specialize_validation():
     ["verify", "--conventions", "c.json"],
     ["vertex", "--zmax", "8"],
     ["calibrate", "--conventions", "c.json"],
+    ["series", "osum", "--zmax", "3"],
+    ["series", "taubar", "--ymax", "2", "--zmax", "3"],
 ])
 def test_subcommand_rejects_flags_it_ignores(argv):
     assert main(argv) == EXIT_USAGE

@@ -67,6 +67,24 @@ def test_no_module_imports_a_name_it_does_not_use():
         assert unused == set(), path.name
 
 
+def _private_imports(source):
+    """Underscore names a module imports from a module of the package, by a
+    relative import or by the package's own name."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or node.module.split(".")[0] == "hilbvertex")
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert _private_imports(
+        "from .a import b, _c\nfrom os import _exit\nfrom . import _d\n"
+        "from hilbvertex.e import _e, f\n"
+        "def g():\n    from .h import _h\n") == ["_c", "_d", "_e", "_h"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _private_imports(path.read_text()) == [], path.name
+
+
 def _unused_parameters(source):
     """(function, parameter) pairs where the body never reads the parameter.
 

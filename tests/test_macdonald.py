@@ -15,7 +15,7 @@ from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
                                   macd_H_axioms, macd_H_gram_schmidt,
                                   macd_H_hhl, default_basis, euler_hilb, norm,
                                   ratio, star_weight, Q_MACD, T_MACD,
-                                  character_table, m_to_p, z_mu,
+                                  character_table, certify, m_to_p, z_mu,
                                   _twisted_schur, _DQ, _DT)
 from hilbvertex.series import Series
 from hilbvertex.fock import FockElement, exp_linear
@@ -78,22 +78,36 @@ def test_basis_star_orthogonal_with_closed_form_norms():
 
 
 def _corrupted_shared_basis(monkeypatch):
-    """A degree-2 basis with H_(1,1) = H_(2), installed as the shared one."""
+    """An empty basis, installed as the shared one, whose degree-2 build
+    gives H_(1,1) = H_(2)."""
+    build = macdonald.macd_H_hhl
+
+    def doctored(n):
+        H = build(n)
+        if n == 2:
+            H[(1, 1)] = H[(2,)]
+        return H
+    monkeypatch.setattr(macdonald, "macd_H_hhl", doctored)
     basis = MacdonaldBasis()
-    basis.build_degree(2)
-    basis._H[2][(1, 1)] = basis._H[2][(2,)]
     monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)
     return basis
 
 
 def test_corrupted_basis_fails_certification(monkeypatch):
     basis = _corrupted_shared_basis(monkeypatch)
-    with pytest.raises(ArithmeticError,
-                       match=r"H_\(1, 1\) fails the t-axiom: .* s_\(1, 1\) "):
-        basis.certify(2)
-    # the identity check reads through pairings, which certify the basis
+    message = r"H_\(1, 1\) fails the t-axiom: .* s_\(1, 1\) "
+    # a failed certificate stores nothing, so a second build fails again
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=message):
+            basis.build_degree(2)
+        assert 2 not in basis._H
+    with pytest.raises(ArithmeticError, match=message):
+        basis.H((1, 1))
+    # the identity check reads through pairings, which build the degree;
+    # the degrees below it pass and are kept
     with pytest.raises(ArithmeticError):
         check_kernel_identity(2)
+    assert list(basis._H) == [0, 1]
 
 
 def test_exp_pairings_certify_the_basis_first(monkeypatch):
@@ -107,6 +121,7 @@ def test_exp_pairings_certify_the_basis_first(monkeypatch):
     for check in (checks.check_mellit, checks.check_osum):
         with pytest.raises(ArithmeticError, match=message):
             check(2)
+    assert 2 not in basis._H
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -118,11 +133,10 @@ def test_exp_pairings_certify_the_basis_first(monkeypatch):
      r"H_\(3,\) fails the q-axiom: .* s_\(2, 1\) "),
 ], ids=["t_axiom", "normalization", "q_axiom"])
 def test_certificate_names_mu_axiom_and_lam(corrupt, message):
-    basis = MacdonaldBasis()
-    basis.build_degree(3)
-    corrupt(basis._H[3])
+    H = macd_H_hhl(3)
+    corrupt(H)
     with pytest.raises(ArithmeticError, match=message):
-        basis.certify(3)
+        certify(3, H)
 
 
 def _twisted_schur_reference(f, step, chars):
@@ -172,11 +186,9 @@ def test_twisted_schur_reads_a_digit_at_its_bound(sign):
 
 
 def _certificate_error(H, n):
-    """The certificate's message on a basis of degree n holding H, or None."""
-    basis = MacdonaldBasis()
-    basis._H[n] = H
+    """The certificate's message on the degree-n table H, or None."""
     try:
-        basis.certify(n)
+        certify(n, H)
     except ArithmeticError as e:
         return str(e)
     return None
@@ -215,7 +227,7 @@ def test_certificate_sees_coefficients_near_the_slot_bound(monkeypatch, extra):
     # its bound, and the pair sits in adjacent t-slots
     H = macd_H_hhl(3)
     bad = _doctored(H, (2, 1), (1, 1, 1), extra)
-    f = dict(zip(bad[(2, 1)], macdonald._clear_row(
+    f = dict(zip(bad[(2, 1)], macdonald.clear_row(
         list(bad[(2, 1)].values()))))
     chars = character_table(3)
     for step in (_DQ, _DT):
@@ -279,11 +291,9 @@ def test_degree_six_basis_is_certified():
     # beyond the reach of the axioms route's solve, but not of the axioms.
     # The s_(6) coefficient of H_lam is the Hall pairing with
     # s_(6) = sum_rho p_rho / z_rho, the sum of its p-coefficients.
-    basis = MacdonaldBasis()
-    basis.certify(6)
-    for lam in partitions(6):
+    for lam, row in MacdonaldBasis().build_degree(6).items():
         total = ZERO
-        for v in basis.H(lam).coeffs.values():
+        for v in row.values():
             total = total + v
         assert total == ONE
 
@@ -377,10 +387,10 @@ def test_exp_pairings_of_the_closed_form():
 
 def test_fixed_point_factors_are_cached_functions():
     # one value per process for each lam (and orientation), whichever basis
-    # asks: the basis itself holds only H_lam and its certificate.  ratio
+    # asks: the basis itself holds only the certified H_lam.  ratio
     # cancels factors and expands neither side: it is checked against the
     # expanded quotient
-    assert vars(MacdonaldBasis()) == {"_H": {}, "_certified": set()}
+    assert vars(MacdonaldBasis()) == {"_H": {}}
     for n in range(8):
         for lam in partitions(n):
             assert norm(lam) is norm(lam)
