@@ -6,14 +6,14 @@ identically zero through the stated orders.  The capped vertex tables behind
 the rationality check are exact rational functions of z, with no
 truncation, over the candidate denominator prod_{k<=n} (1 - (z hbar/q)^k)
 by construction; the check is that each table, written in the shifted
-variable w = z hbar / q, does not depend on q, in every degree 1..n: no
-key of their integer numerators in w has a q exponent.  A mismatch always
-carries a concrete witness.  The resolved-convention record travels
-with every report so runs are auditable: tangent orientation (it enters
-only the Euler factor; the localization checks share one basis), Euler
-convention, the structure-sheaf sign transport, the validated limit
-normalization, and the argument shift/reading that reconciles the derived
-and closed generating functions.  The derived side is computed on one Fock
+variable w = z hbar / q, does not depend on q, in every degree 1..n: w is a
+packed key variable (scalar.py), and no key of the integer numerators in w
+has a q exponent.  A mismatch always carries a concrete witness.  The
+resolved-convention record travels with every report so runs are
+auditable: tangent orientation (it enters only the Euler factor; the
+localization checks share one basis), Euler convention, the structure-sheaf
+sign transport, the validated limit normalization, and the argument
+shift/reading that reconciles the derived and closed generating functions.  The derived side is computed on one Fock
 factor; the tensor-square route of fock.py is its reference.
 
 The fusion identities (check_main, check_ook) and the degenerate slice
@@ -31,8 +31,9 @@ import time
 from collections import namedtuple
 from functools import reduce
 
-from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, LimitError,
-                     VARIABLES, key_exp, pconst, pmul, pone)
+from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, KEY_ONE,
+                     LimitError, VARIABLES, encode, key_exp, key_var, padd,
+                     pdivexact, pmul, pmul_into, pone)
 from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2,
                          chern_eigen, o_line_eigen, delta_11)
@@ -41,7 +42,7 @@ from .fock import (exp_linear, plethystic_exponents, jj0_correction,
 from .macdonald import (MAX_DEGREE, clear_row, default_basis, euler_hilb,
                         norm, ratio, star_weight)
 
-_Q_INDEX = VARIABLES.index("q")
+_Q_INDEX, _W_INDEX = VARIABLES.index("q"), VARIABLES.index("w")
 
 DEFAULT_Y_ORDER = 4
 DEFAULT_Z_ORDER = 6
@@ -392,7 +393,8 @@ class CappedVertexTable:
     """Per-fixed-point rational functions in z for one Fock degree.
 
     Every entry is exact: num / den with den = candidate_denominator(n), no
-    truncation in z, and num and den of degree at most B = n(n+1)/2.
+    truncation in z, and num and den of degree at most B = n(n+1)/2, as
+    {z-degree: Scalar}; no Scalar holds w (see _in_z).
     certified_order = 2B + 2 is the z-order through which the bench oracle
     and the tests re-expand the table against the closed form: enough
     coefficients to fix a ratio of two polynomials of degree B.
@@ -420,80 +422,55 @@ class CappedVertexTable:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _w_product(n):
-    """D_n(w) = prod_{k<=n} (1 - w^k) as integer coefficients in w."""
-    p = [1]
-    for k in range(1, n + 1):
-        p = p + [0] * k
-        for j in range(len(p) - 1, k - 1, -1):
-            p[j] -= p[j - k]
-    return p
+def _w_product(ks):
+    """prod_{k in ks} (1 - w^k) as a packed polynomial."""
+    return reduce(pmul, ({KEY_ONE: 1, key_var("w", 2 * k): -1} for k in ks),
+                  pone())
 
 
 def _cofactor(n, rho):
-    """D_n(w) / prod_{k in rho} (1 - w^k) as integer coefficients in w.
+    """D_n(w) / prod_{k in rho} (1 - w^k) as a packed polynomial.
 
-    Raises ArithmeticError when a factor 1 - w^k leaves a remainder.
+    Raises ArithmeticError when the division leaves a remainder.
     """
-    p = _w_product(n)
-    for k in rho:
-        # the power series p / (1 - w^k) has q[j] = p[j] + q[j - k], and it
-        # is a polynomial exactly when its last k coefficients vanish
-        q = list(p)
-        for j in range(k, len(q)):
-            q[j] += q[j - k]
-        if any(q[-k:]):
-            raise ArithmeticError(f"1 - w^{k} leaves a remainder in D_{n} "
-                                  f"/ prod over {rho}")
-        p = q[:-k]
-    return p
+    cof = pdivexact(_w_product(range(1, n + 1)), _w_product(rho))
+    if cof is None:
+        raise ArithmeticError(f"prod over {rho} of 1 - w^k does not divide "
+                              f"D_{n}")
+    return cof
 
 
-def _in_z(poly):
-    """An integer polynomial in w = z hbar / q as a z-polynomial."""
-    return {j: Scalar.monomial(c, t1=2 * j, t2=2 * j, q=-2 * j)
-            for j, c in enumerate(poly) if c}
+# w^j -> z^j (hbar/q)^j on a key whose w has doubled exponent e adds e times
+# this to the key (key - KEY_ONE is linear in the exponents)
+_W_TO_HQ = encode((1, 1, -1, 0, 0, -1)) - KEY_ONE
+
+
+def _in_z(f):
+    """A packed polynomial in w = z hbar / q as {z-degree: poly}, no w left."""
+    out = {}
+    for key, c in f.items():
+        e = key_exp(key, _W_INDEX)
+        out.setdefault(e // 2, {})[key + e * _W_TO_HQ] = c
+    return out
 
 
 def candidate_denominator(n):
     """prod_{k<=n} (1 - (z hbar/q)^k) as a z-polynomial {deg: Scalar}."""
-    return _in_z(_w_product(n))
+    D = _w_product(range(1, n + 1))
+    return {j: Scalar(c) for j, c in _in_z(D).items()}
 
 
 def _w_numerator(k):
-    """N_k = a_k + (b_k (q/hbar)^k - a_k) w^k as {w-degree: poly}, with g_k =
-    star_weight((k,)) c_k = N_k / (1 - w^k), w = z hbar / q, and a_k, b_k
+    """N_k = a_k + (b_k (q/hbar)^k - a_k) w^k as a packed polynomial, with g_k
+    = star_weight((k,)) c_k = N_k / (1 - w^k), w = z hbar / q, and a_k, b_k
     star_weight((k,)) A_k and B_k, reduced (z^k = (q/hbar)^k w^k).  Raises
     ArithmeticError unless both coefficients are integer polynomials."""
     weight = star_weight((k,))
     a, b = ((weight * x).reduced() for x in _closed_exponent_parts(k))
-    N = {0: a, k: b * (Q / HBAR) ** k - a}
-    if any(c.den != pone() for c in N.values()):
+    b = b * (Q / HBAR) ** k - a
+    if a.den != pone() or b.den != pone():
         raise ArithmeticError(f"N_{k} is not over the integers")
-    return {j: c.num for j, c in N.items()}
-
-
-def _add_into(out, j, f):
-    """out[j] += f in place, zero coefficients kept: see _pruned."""
-    acc = out.setdefault(j, {})
-    get = acc.get
-    for k, c in f.items():
-        acc[k] = get(k, 0) + c
-
-
-def _pruned(out):
-    """{w-degree: poly} without zero coefficients and zero polynomials."""
-    out = {j: {k: c for k, c in f.items() if c} for j, f in out.items()}
-    return {j: f for j, f in out.items() if f}
-
-
-def _wmul(f, g):
-    """Product of two polynomials in w, {w-degree: poly}."""
-    out = {}
-    for i, a in f.items():
-        for j, b in g.items():
-            _add_into(out, i + j, pmul(a, b))
-    return _pruned(out)
+    return padd(a.num, pmul(b.num, {key_var("w", 2 * k): 1}))
 
 
 def capped_vertex_table(n):
@@ -512,38 +489,35 @@ def capped_vertex_table(n):
         cof_rho = D_n / prod_{k in rho} (1 - w^k),
 
     with no truncation in z; the numerator has degree at most B = n(n+1)/2,
-    the degree of D_n.  The sum runs on integer polynomials, the H_lam row
-    of the certified basis (MacdonaldBasis.build_degree) cleared over one
-    integer: the entry is q-free in w exactly when no key of its numerators
-    has a q exponent (q_free).  Last, each w^j is written as z^j (hbar/q)^j,
-    with one Scalar per printed coefficient.
+    the degree of D_n.  w is a variable of the packed keys (scalar.py), so
+    the sum runs on packed integer polynomials: N_k, cof_rho and the H_lam
+    row of the certified basis (MacdonaldBasis.build_degree) cleared over
+    one integer, each product added into the row's sum in place.  The entry
+    is q-free in w exactly when no key of its numerator has a q exponent
+    (q_free).  Last, each w^j is written as z^j (hbar/q)^j, with one Scalar
+    per printed coefficient.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
     basis = default_basis().build_degree(n)
     N = {k: _w_numerator(k) for k in range(1, n + 1)}
-    terms = {rho: reduce(_wmul, (N[k] for k in rho),
-                         {j: pconst(c) for j, c in enumerate(_cofactor(n, rho))
-                          if c})
+    terms = {rho: reduce(pmul, (N[k] for k in rho), _cofactor(n, rho))
              for rho in partitions(n)}
     den = candidate_denominator(n)
-    hq = _in_z([1] * (n * (n + 1) // 2 + 1))  # (hbar/q)^j at z^j
     entries = {}
     q_free = True
     for lam in partitions(n):
         H = basis[lam]
         *row, one = clear_row([*H.values(), ONE])
-        num = {}
+        acc = {}
         for rho, h in zip(H, row):
-            for j, c in terms[rho].items():
-                _add_into(num, j, pmul(h, c))
+            pmul_into(acc, h, terms[rho])
         r = ratio(lam, "arms_t1")
-        num = {j: pmul(r.num, c) for j, c in _pruned(num).items()}
-        q_free = q_free and not any(key_exp(key, _Q_INDEX)
-                                    for c in num.values() for key in c)
-        entries[lam] = ({j: Scalar(pmul(c, hq[j].num), pmul(r.den, one))
-                         for j, c in num.items()}, den)
+        num = pmul(r.num, {key: c for key, c in acc.items() if c})
+        q_free = q_free and not any(key_exp(key, _Q_INDEX) for key in num)
+        entries[lam] = ({j: Scalar(c, pmul(r.den, one))
+                         for j, c in _in_z(num).items()}, den)
     return CappedVertexTable(n, entries, q_free)
 
 
@@ -765,23 +739,30 @@ Target = namedtuple("Target", "check oriented orders")
 
 # Each target's check, whether it takes the tangent orientation, and for each
 # order it reads (keyed as in a report's `orders`: y, z, n) the check's
-# parameter and the lowest value at which it compares anything.  Below y^1
-# the localization checks cover no degree and the exponential sides have no
+# parameter and the lowest and highest values it runs at.  Below y^1 the
+# localization checks cover no degree and the exponential sides have no
 # exponent to compare; below z^2 several (reading, shift) pairs satisfy
 # `main`, so it cannot name one shift ((1, 1) matches 4 pairs, (y, 0) all
 # 90); rationality below n = 1 covers no degree, and prop4 below n = 0 no k.
-# An order left unset runs at the check's own default; `verify` refuses one
-# that none of its targets reads.
+# The highest values are the caps: HARD_Y_BOUND (the basis), HARD_Z_BOUND,
+# and VERTEX_N_MAX for the tables of rationality.  An order left unset runs
+# at the check's own default; `verify` refuses one that none of its targets
+# reads.
+_Y_ORDER = ("N", 1, HARD_Y_BOUND)
+_N_ORDER = ("n", 0, HARD_Y_BOUND)
 VERIFY_TARGETS = {
-    "kernel": Target(check_kernel_identity, True, {"y": ("N", 1)}),
-    "mellit": Target(check_mellit, True, {"y": ("N", 1)}),
-    "osum": Target(check_osum, True, {"y": ("N", 1)}),
-    "ook": Target(check_ook, False, {"y": ("Ny", 1), "z": ("Nz", 0)}),
-    "main": Target(check_main, False, {"y": ("Ny", 1), "z": ("Nz", 2)}),
-    "slice": Target(check_degenerate_slice, False, {"y": ("N", 1)}),
-    "rationality": Target(check_rationality, False, {"n": ("n", 1)}),
-    "prop1": Target(check_prop1, False, {"n": ("n", 0)}),
-    "prop4": Target(check_prop4_through, False, {"n": ("n", 0)}),
+    "kernel": Target(check_kernel_identity, True, {"y": _Y_ORDER}),
+    "mellit": Target(check_mellit, True, {"y": _Y_ORDER}),
+    "osum": Target(check_osum, True, {"y": _Y_ORDER}),
+    "ook": Target(check_ook, False, {"y": ("Ny", 1, HARD_Y_BOUND),
+                                     "z": ("Nz", 0, HARD_Z_BOUND)}),
+    "main": Target(check_main, False, {"y": ("Ny", 1, HARD_Y_BOUND),
+                                       "z": ("Nz", 2, HARD_Z_BOUND)}),
+    "slice": Target(check_degenerate_slice, False, {"y": _Y_ORDER}),
+    "rationality": Target(check_rationality, False,
+                          {"n": ("n", 1, VERTEX_N_MAX)}),
+    "prop1": Target(check_prop1, False, {"n": _N_ORDER}),
+    "prop4": Target(check_prop4_through, False, {"n": _N_ORDER}),
 }
 
 
@@ -792,7 +773,7 @@ def run_check(name, y_order=None, z_order=None, n=None,
         raise ValueError(f"unknown check {name!r}")
     target = VERIFY_TARGETS[name]
     given = {"y": y_order, "z": z_order, "n": n}
-    kwargs = {param: given[key] for key, (param, _) in target.orders.items()
+    kwargs = {param: given[key] for key, (param, *_) in target.orders.items()
               if given[key] is not None}
     if target.oriented:
         kwargs["orientation"] = orientation

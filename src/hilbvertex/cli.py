@@ -32,17 +32,13 @@ class ConfigError(Exception):
     pass
 
 
-def _bounds_check(args, targets=()):
+def _bounds_check(args):
+    """The caps of `series`; `verify` checks its targets' own ranges."""
     y, z = args.ymax, args.zmax
     if y is not None and not 0 <= y <= HARD_Y_BOUND:
         raise ConfigError(f"--ymax must lie in [0, {HARD_Y_BOUND}]")
     if z is not None and not 0 <= z <= HARD_Z_BOUND:
         raise ConfigError(f"--zmax must lie in [0, {HARD_Z_BOUND}]")
-    n = args.n if targets else None  # series calls this with no --n
-    if n is not None and n > HARD_Y_BOUND:
-        raise ConfigError(f"--n must be at most {HARD_Y_BOUND}")
-    if "rationality" in targets and n is not None and n > VERTEX_N_MAX:
-        raise ConfigError(f"verify rationality needs --n <= {VERTEX_N_MAX}")
 
 
 def _write(fmt, path, obj, header=(), rows=(), lines=()):
@@ -57,8 +53,11 @@ def _write(fmt, path, obj, header=(), rows=(), lines=()):
     else:
         text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -73,7 +72,6 @@ def cmd_verify(args):
     if args.format is not None and not args.out:
         raise ConfigError("--format needs --out: the console shows one "
                           "line per check in every format")
-    _bounds_check(args, targets)
     given = {"y": ("--ymax", args.ymax), "z": ("--zmax", args.zmax),
              "n": ("--n", args.n),
              "orientation": ("--orientation", args.orientation)}
@@ -85,10 +83,11 @@ def cmd_verify(args):
             raise ConfigError(f"{flag} is read by none of the targets "
                               f"{', '.join(targets)}")
     for t in targets:
-        for key, (_, lowest) in VERIFY_TARGETS[t].orders.items():
+        for key, (_, lowest, highest) in VERIFY_TARGETS[t].orders.items():
             flag, value = given[key]
-            if value is not None and value < lowest:
-                raise ConfigError(f"verify {t} needs {flag} >= {lowest}")
+            if value is not None and not lowest <= value <= highest:
+                raise ConfigError(f"verify {t} needs {flag} in "
+                                  f"[{lowest}, {highest}]")
     orientation = (args.orientation
                    or DEFAULT_CONVENTIONS["tangent_orientation"])
     reports = []

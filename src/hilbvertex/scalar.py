@@ -1,11 +1,13 @@
 """Exact sparse arithmetic for Laurent rational functions of the ground variables.
 
 Every value is a fraction num/den of sparse Laurent polynomials over the
-integers in the five variables t1, t2, q, u, a.  Exponents are half-integers,
-stored internally as doubled integers, so quantities like hbar^(1/2) =
-(t1*t2)^(1/2) are exact.  Full multivariate gcd reduction is deliberately
-not performed.  Equality is decided by cross multiplication, which makes it
-exact without gcd.
+integers in the variables t1, t2, q, u, a.  A sixth variable, w = z hbar / q,
+appears only inside the numerators of the capped vertex tables (checks.py),
+which are split by w-degree before any Scalar is built.  Exponents are
+half-integers, stored internally as doubled integers, so quantities like
+hbar^(1/2) = (t1*t2)^(1/2) are exact.  Full multivariate gcd reduction is
+deliberately not performed.  Equality is decided by cross multiplication,
+which makes it exact without gcd.
 
 A fraction has two normal forms, both unique up to the choice of num/den
 among unit multiples (an integer times a monomial):
@@ -25,19 +27,22 @@ stays over the one denominator b*d2, without cross multiplication.  On
 stored denominators m is always 1.  A sum computed this way can be stored
 differently from the cross-multiplied sum, with an equal value.
 
-A polynomial is a plain dict {packed_key: int}.  A packed key holds the five
+A polynomial is a plain dict {packed_key: int}.  A packed key holds the six
 doubled exponents in 20-bit biased fields of one Python int, so monomial
-multiplication is a single integer addition.  Most products in the checks
-have a one-term operand; `pmul` forms those as one shift of the other
-operand's keys, with no accumulator.  `prender` decodes each key once per
-process and keeps its graded-lex rank and text in a memo.
+multiplication is a single integer addition.  w has the last field, so a
+key without w has the integer order, graded-lex rank and text it would have
+without the field.  Most products in the checks have a one-term operand;
+`pmul` forms those as one shift of the other operand's keys, with no
+accumulator, and `pmul_into` adds a product into a running sum in place.
+`prender` decodes each key once per process and keeps its graded-lex rank
+and text in a memo.
 """
 
 import math
 from fractions import Fraction
 from functools import reduce
 
-VARIABLES = ("t1", "t2", "q", "u", "a")
+VARIABLES = ("t1", "t2", "q", "u", "a", "w")
 NVARS = len(VARIABLES)
 
 _FIELD_BITS = 20
@@ -70,7 +75,9 @@ class InconsistentSystemError(ArithmeticError):
 
 
 def encode(exps):
-    """Pack a tuple of doubled exponents into a single integer key."""
+    """Pack a tuple of NVARS doubled exponents into a single integer key."""
+    if len(exps) != NVARS:
+        raise ValueError(f"a key needs {NVARS} exponents, not {len(exps)}")
     key = 0
     for i, e in enumerate(exps):
         if not _EXP_MIN <= e <= _EXP_MAX:
@@ -140,26 +147,16 @@ def psub(f, g):
     return out
 
 
-def pmul(f, g):
-    """Product of two polynomials, always a new dict.
-
-    A one-term operand c*m shifts every key of the other by m and scales it
-    by c; nonzero times nonzero is nonzero, so nothing is filtered.
-    """
-    if not f or not g:
-        return {}
-    if len(f) > len(g):
-        f, g = g, f
+def _check_budget(f, g):
     if len(f) * len(g) > 8 * MAX_TERMS:
         raise ResourceLimitError(
             f"polynomial product of {len(f)} x {len(g)} terms exceeds budget")
-    if len(f) == 1:
-        (kf, cf), = f.items()
-        if kf == KEY_ONE and cf == 1:
-            return dict(g)
-        base = kf - KEY_ONE
-        return {base + k: cf * c for k, c in g.items()}
-    out = {}
+
+
+def pmul_into(out, f, g):
+    """Add f*g into `out` in place and return `out`; zero coefficients are
+    kept, so that a sum of many products drops them once, at the end."""
+    _check_budget(f, g)
     get = out.get
     for kf, cf in f.items():
         base = kf - KEY_ONE
@@ -170,7 +167,27 @@ def pmul(f, g):
                 out[k] = cf * cg
             else:
                 out[k] = c + cf * cg
-    return {k: c for k, c in out.items() if c}
+    return out
+
+
+def pmul(f, g):
+    """Product of two polynomials, always a new dict.
+
+    A one-term operand c*m shifts every key of the other by m and scales it
+    by c; nonzero times nonzero is nonzero, so nothing is filtered.
+    """
+    if not f or not g:
+        return {}
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 1:
+        _check_budget(f, g)
+        (kf, cf), = f.items()
+        if kf == KEY_ONE and cf == 1:
+            return dict(g)
+        base = kf - KEY_ONE
+        return {base + k: cf * c for k, c in g.items()}
+    return {k: c for k, c in pmul_into({}, f, g).items() if c}
 
 
 def pmul_int(f, n):
@@ -265,9 +282,9 @@ def pdivexact(f, g):
 
     Long division takes the leading term as the largest packed key.  The
     fields are biased and non-negative, so integer order on keys is the
-    lex order a > u > q > t2 > t1 on exponents; monomial multiplication is
-    key addition, and integer order is translation invariant, so this is a
-    monomial order and lead(q*g) = lead(q) + lead(g).  Finding the lead is a
+    lex order w > a > u > q > t2 > t1 on exponents; monomial multiplication
+    is key addition, and integer order is translation invariant, so this is
+    a monomial order and lead(q*g) = lead(q) + lead(g).  Finding the lead is a
     C-level max over ints, with no decoding.
 
     An exact quotient has, in every variable, the minimum exponent of f less

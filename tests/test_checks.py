@@ -3,7 +3,8 @@ import json
 import pytest
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, HBAR,
-                               padams, pdivexact, pmul_int)
+                               VARIABLES, key_exp, key_var, padams, padd,
+                               pdivexact, pmul, pmul_int)
 from hilbvertex.series import Series, rational_reconstruct
 from hilbvertex.characters import partitions, boxes
 from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
@@ -277,20 +278,14 @@ def test_rationality_finds_a_stray_q(monkeypatch, stray_k):
     assert rep.details["n"] == stray_k
 
 
-def _adams_w(f, k):
-    """psi_k on a polynomial in w: w^j -> w^(jk), padams on the coefficient."""
-    return {j * k: padams(c, k) for j, c in f.items()}
-
-
 @pytest.mark.parametrize("k", range(1, 9))
 def test_w_numerators_follow_the_adams_law(k):
     # N_1 = 1 - u + (u - hbar^-2) w and N_k = (-1)^(k-1) psi_k(N_1): the
     # fact that fixes g_k at both ends in z from g_1 alone
     N1 = checks._w_numerator(1)
-    assert N1 == {0: (ONE - U).num, 1: (U - HBAR ** -2).num}
-    sign = (-1) ** (k - 1)
-    assert checks._w_numerator(k) == {
-        j: pmul_int(c, sign) for j, c in _adams_w(N1, k).items()}
+    w = {key_var("w"): 1}
+    assert N1 == padd((ONE - U).num, pmul((U - HBAR ** -2).num, w))
+    assert checks._w_numerator(k) == pmul_int(padams(N1, k), (-1) ** (k - 1))
 
 
 def test_vertex_table_n2_entries_are_small():
@@ -384,17 +379,24 @@ def _times_one_minus_wk(p, k):
             for j, c in enumerate(p + [0] * k)]
 
 
+def _packed_in_w(p):
+    """Integer coefficients in w as a packed polynomial."""
+    return {key_var("w", 2 * j): c for j, c in enumerate(p) if c}
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_cofactor_times_its_factors_is_the_candidate(n):
     whole = [1]
     for k in range(1, n + 1):
         whole = _times_one_minus_wk(whole, k)
-    assert checks._in_z(whole) == candidate_denominator(n)
+    D = _packed_in_w(whole)
+    assert {j: Scalar(c) for j, c in checks._in_z(D).items()} == \
+        candidate_denominator(n)
     for rho in partitions(n):
         p = checks._cofactor(n, rho)
         for k in rho:
-            p = _times_one_minus_wk(p, k)
-        assert p == whole
+            p = pmul(p, _packed_in_w(_times_one_minus_wk([1], k)))
+        assert p == D
 
 
 def test_cofactor_of_a_non_factor_raises():
@@ -402,6 +404,19 @@ def test_cofactor_of_a_non_factor_raises():
     for rho in ((1, 1, 1), (3,), (2, 2)):
         with pytest.raises(ArithmeticError):
             checks._cofactor(2, rho)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_no_vertex_scalar_holds_w(n):
+    # w is split off into the z-degree before any Scalar is built
+    w = VARIABLES.index("w")
+    table = capped_vertex_table(n)
+    parts = [candidate_denominator(n)]
+    for num, den in table.entries.values():
+        parts += [num, den]
+    for part in parts:
+        for c in part.values():
+            assert not any(key_exp(key, w) for key in [*c.num, *c.den])
 
 
 def test_rationality_small():

@@ -311,6 +311,19 @@ def test_resource_limit_exit_three(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("resource limit:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "kernel", "--ymax", "1"],
+    ["series", "taubar", "--ymax", "0"],
+    ["vertex", "--n", "0"],
+    ["calibrate"],
+])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv):
+    # exit 1 would read as a failed check; the run itself went through
+    path = str(tmp_path / "missing" / "out.json")
+    assert main([*argv, "--out", path]) == EXIT_USAGE
+    assert f"config error: cannot write {path}" in capsys.readouterr().err
+
+
 def test_calibrate_idempotent(tmp_path):
     for extra in ([], ["--evidence"]):
         a, b = tmp_path / "c1.json", tmp_path / "c2.json"

@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
-                               LimitError, KEY_ONE, decode, encode,
+                               LimitError, KEY_ONE, NVARS, decode, encode,
                                pmin_exps, pexp_box, plead, pdivexact, _grlex,
                                _printed, prender, _MONOMIALS, VARIABLES,
                                pmul, pmul_int, pone, pconst, padd, psub,
                                padams, ppow, key_exp, bareiss_det,
                                invert_matrix, solve_poly_system,
-                               InconsistentSystemError)
+                               InconsistentSystemError, ResourceLimitError,
+                               pmul_into)
+from hilbvertex import scalar
 
 rng = random.Random(20240817)
+
+
+def _key(**exps):
+    """Packed key of named doubled exponents; every other field is 0."""
+    return encode(tuple(exps.get(v, 0) for v in VARIABLES))
 
 
 def rand_scalar(depth=2, vars_=("t1", "t2", "u")):
@@ -122,14 +129,15 @@ def test_limit_at_zero_in_other_variables():
     assert "u-valuation -1/2" in str(err.value)
 
 
-@given(st.lists(st.integers(-(1 << 19), (1 << 19) - 1), min_size=5,
-                max_size=5))
+@given(st.lists(st.integers(-(1 << 19), (1 << 19) - 1), min_size=NVARS,
+                max_size=NVARS))
 def test_key_exp_reads_one_field(exps):
     key = encode(tuple(exps))
-    assert [key_exp(key, i) for i in range(5)] == exps
+    assert [key_exp(key, i) for i in range(NVARS)] == exps
 
 
-@given(st.lists(st.integers(-(1 << 16), 1 << 16), min_size=5, max_size=5),
+@given(st.lists(st.integers(-(1 << 16), 1 << 16), min_size=NVARS,
+                max_size=NVARS),
        st.integers(-7, 7))
 def test_padams_scales_every_exponent(exps, n):
     # n * e stays inside the packed range, |n e| < 2^19
@@ -165,7 +173,7 @@ def test_equality_is_mathematical_not_structural():
 # Laurent polynomials in t1, t2, u with doubled exponents in [-4, 4]
 laurent = st.dictionaries(
     st.tuples(*[st.integers(-4, 4)] * 3).map(
-        lambda e: encode((e[0], e[1], 0, e[2], 0))),
+        lambda e: _key(t1=e[0], t2=e[1], u=e[2])),
     st.integers(-3, 3).filter(bool), max_size=4)
 
 
@@ -195,7 +203,7 @@ def _cross_equal(x, y):
 
 
 monomials = st.tuples(*[st.integers(-4, 4)] * 3).map(
-    lambda e: encode((e[0], e[1], 0, e[2], 0)))
+    lambda e: _key(t1=e[0], t2=e[1], u=e[2]))
 units = st.integers(-6, 6).filter(bool)
 
 
@@ -221,7 +229,7 @@ def test_sum_over_unit_multiple_denominators(n1, n2, d, m, a, b):
 def _printed_reference(num, den):
     """The printed form by its definition, from any num/den."""
     exps = [decode(k) for k in [*num, *den]]
-    shift = KEY_ONE - encode([min(e[i] for e in exps) for i in range(5)])
+    shift = KEY_ONE - encode([min(e[i] for e in exps) for i in range(NVARS)])
     g = math.gcd(*num.values(), *den.values())
     if den[max(den, key=_grlex)] < 0:
         g = -g
@@ -306,7 +314,7 @@ def test_pdivexact_not_exact_terminates():
 
 def laurent_poly(*terms):
     """{key: c} from (c, t1 exponent, t2 exponent) triples."""
-    return {encode((2 * e1, 2 * e2, 0, 0, 0)): c for c, e1, e2 in terms}
+    return {_key(t1=2 * e1, t2=2 * e2): c for c, e1, e2 in terms}
 
 
 def test_pdivexact_laurent_examples():
@@ -338,16 +346,16 @@ def test_max_key_is_a_monomial_order(f, g):
     assert max(pmul(f, g)) == max(f) + max(g) - KEY_ONE
 
 
-# keys in all five fields: small exponents, so that many keys share a total
+# keys in all NVARS fields: small exponents, so that many keys share a total
 # degree and plead must break ties, and large ones, whose total degrees
-# (|d| <= 500000 < 2^19) wrap around the modulus 2^20 - 1
-five_field_keys = st.one_of(
-    st.tuples(*[st.integers(-3, 3)] * 5),
-    st.tuples(*[st.integers(-100_000, 100_000)] * 5)).map(encode)
+# (|d| <= 80000 NVARS < 2^19) wrap around the modulus 2^20 - 1
+all_field_keys = st.one_of(
+    st.tuples(*[st.integers(-3, 3)] * NVARS),
+    st.tuples(*[st.integers(-80_000, 80_000)] * NVARS)).map(encode)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(five_field_keys, min_size=1, max_size=8))
+@given(st.lists(all_field_keys, min_size=1, max_size=8))
 def test_packed_key_extrema_match_decoded_definitions(keys):
     f = dict.fromkeys(keys, 1)
     columns = list(zip(*map(decode, f)))
@@ -381,6 +389,34 @@ def test_pmul_by_one_term_matches_the_double_loop(m, f, m_first):
     assert out is not a and out is not b
 
 
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent, laurent)
+def test_pmul_into_adds_the_product_in_place(acc, f, g):
+    out = dict(acc)
+    assert pmul_into(out, f, g) is out
+    assert {k: c for k, c in out.items() if c} == \
+        padd(acc, _pmul_reference(f, g))
+
+
+def test_pmul_into_checks_the_budget_before_it_writes(monkeypatch):
+    f, g = (ONE + T1).num, (ONE - U).num
+    out = dict(T2.num)
+    monkeypatch.setattr(scalar, "MAX_TERMS", 0)
+    with pytest.raises(ResourceLimitError, match="2 x 2 terms"):
+        pmul_into(out, f, g)
+    assert out == T2.num
+    # pmul keeps its check on a one-term operand too
+    with pytest.raises(ResourceLimitError):
+        pmul(T2.num, f)
+
+
+def test_encode_needs_every_field():
+    assert decode(encode((2,) * NVARS)) == (2,) * NVARS
+    for exps in [(1,), (0,) * (NVARS - 1), (0,) * (NVARS + 1)]:
+        with pytest.raises(ValueError, match=f"needs {NVARS} exponents"):
+            encode(exps)
+
+
 def _prender_reference(f):
     """Text form with each key decoded to sort it and again to print it."""
     if not f:
@@ -403,7 +439,7 @@ def _prender_reference(f):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.one_of(st.just(KEY_ONE), five_field_keys),
+@given(st.dictionaries(st.one_of(st.just(KEY_ONE), all_field_keys),
                        st.one_of(st.sampled_from([1, -1]), units),
                        max_size=6))
 def test_prender_is_the_same_with_a_cold_and_a_warm_memo(f):
@@ -429,7 +465,7 @@ def laplace_det(matrix):
 
 small_laurent = st.dictionaries(
     st.tuples(*[st.integers(-2, 2)] * 3).map(
-        lambda e: encode((e[0], e[1], 0, e[2], 0))),
+        lambda e: _key(t1=e[0], t2=e[1], u=e[2])),
     st.integers(-3, 3).filter(bool), max_size=3)
 
 
