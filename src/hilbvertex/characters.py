@@ -97,6 +97,8 @@ def dominates(lam, mu):
 
 def fixed_points_rank2(n):
     """Partition pairs (lam1, lam2) with |lam1|+|lam2| = n, deterministic order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = []
     for n1 in range(n, -1, -1):
         second = partitions(n - n1)

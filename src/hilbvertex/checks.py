@@ -32,7 +32,7 @@ from collections import namedtuple
 from functools import reduce
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, KEY_ONE,
-                     LimitError, VARIABLES, encode, key_exp, key_var, padd,
+                     LimitError, VARIABLES, key_exp, key_var, padd,
                      pdivexact, pmul, pmul_into, pone)
 from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2,
@@ -442,7 +442,8 @@ def _cofactor(n, rho):
 
 # w^j -> z^j (hbar/q)^j on a key whose w has doubled exponent e adds e times
 # this to the key (key - KEY_ONE is linear in the exponents)
-_W_TO_HQ = encode((1, 1, -1, 0, 0, -1)) - KEY_ONE
+_W_TO_HQ = sum(key_var(v, d) - KEY_ONE
+               for v, d in (("t1", 1), ("t2", 1), ("q", -1), ("w", -1)))
 
 
 def _in_z(f):
@@ -724,6 +725,8 @@ def calibrate():
 def check_prop4_through(n=3):
     """check_prop4 for every k <= n, timed as one report: the first failing
     k's report, or the last one with the k checked."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     t0 = time.perf_counter()
     for k in range(n + 1):
         rep = check_prop4(n, k)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .scalar import ResourceLimitError
@@ -39,6 +40,14 @@ def _bounds_check(args):
         raise ConfigError(f"--ymax must lie in [0, {HARD_Y_BOUND}]")
     if z is not None and not 0 <= z <= HARD_Z_BOUND:
         raise ConfigError(f"--zmax must lie in [0, {HARD_Z_BOUND}]")
+
+
+def _out_check(path):
+    """Refuse an --out whose directory is missing or not a directory, before
+    any work runs; _write still catches what cannot be foreseen."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: {parent} is not a directory")
 
 
 def _write(fmt, path, obj, header=(), rows=(), lines=()):
@@ -230,6 +239,8 @@ def main(argv=None):
             args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+        if args.out:
+            _out_check(args.out)
         return args.fn(args)
     except (ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)

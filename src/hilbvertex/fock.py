@@ -4,10 +4,10 @@ A FockElement is a finite map from p-monomial indices (partitions mu, meaning
 p_mu = prod p_{mu_i}) to coefficients, truncated by total degree N; the degree
 of p_mu is |mu|, which doubles as the y-grading of all generating functions.
 Coefficients are Scalars or z-Series; the two kinds are not mixed inside one
-element.  TensorFockElement indexes by pairs (mu1, mu2).  Both are the same
-truncated algebra over different monomials, and share one arithmetic
-(_PowerSums): each gives only its unit monomial, the degree of a monomial and
-the product of two.
+element.  TensorFockElement indexes by pairs (mu1, mu2).  Both are instances
+of series.Truncated, the truncated algebra that Series is too, over their own
+monomials: each gives only its unit monomial, the degree bound and the
+product of two monomials.
 
 The tensor square (tensor_exp, jj0_substitute, project_second) is the
 reference route of the derivation in the main statement; checks.build_F
@@ -23,7 +23,7 @@ d_k = (t1^(k/2) - t1^(-k/2)) (t2^(k/2) - t2^(-k/2)).
 from collections import Counter
 
 from .scalar import Scalar, ZERO, ONE
-from .series import Series
+from .series import Series, Truncated
 from .characters import partitions
 
 
@@ -38,96 +38,25 @@ def _merge(a, b):
     return tuple(sorted(a + b, reverse=True))
 
 
-class _PowerSums:
-    """A truncated commutative algebra of monomials with exact coefficients.
-
-    Subclasses set UNIT, the key of the monomial 1, and give _degree(key)
-    and _key_product(a, b).  Stored coefficients are never zero, and every
-    key has degree <= N.
-    """
-
-    __slots__ = ("coeffs", "N")
-    __hash__ = None
-
-    def __init__(self, coeffs, N):
-        self.N = N
-        degree = self._degree
-        self.coeffs = {key: c for key, c in coeffs.items()
-                       if degree(key) <= N and not c.is_zero()}
-
-    @classmethod
-    def zero(cls, N):
-        return cls({}, N)
-
-    @classmethod
-    def one(cls, N):
-        return cls({cls.UNIT: ONE}, N)
-
-    def _coefficient(self, key):
-        c = self.coeffs.get(key)
-        if c is not None:
-            return c
-        sample = next(iter(self.coeffs.values()), None)
-        return Series.zero(*sample.bounds()) if isinstance(sample, Series) else ZERO
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key)
-            out[key] = c if s is None else s + c
-        return type(self)(out, min(self.N, other.N))
-
-    def __neg__(self):
-        return type(self)({key: -c for key, c in self.coeffs.items()}, self.N)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar, Series)):
-            return type(self)({key: c * other for key, c in self.coeffs.items()},
-                              self.N)
-        N = min(self.N, other.N)
-        degree, product = self._degree, self._key_product
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            d1 = degree(k1)
-            for k2, c2 in other.coeffs.items():
-                if d1 + degree(k2) > N:
-                    continue
-                key = product(k1, k2)
-                s = out.get(key)
-                out[key] = c1 * c2 if s is None else s + c1 * c2
-        return type(self)(out, N)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        for key in set(self.coeffs) | set(other.coeffs):
-            a = self.coeffs.get(key)
-            b = other.coeffs.get(key)
-            if a is None:
-                a, b = b, a
-            if b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
+def _coefficient(f, key):
+    """The coefficient of f at key: zero of the kind f stores if absent."""
+    c = f.coeffs.get(key)
+    if c is None:
+        c = next(iter(f.coeffs.values()), ZERO) * 0
+    return c
 
 
-class FockElement(_PowerSums):
+class FockElement(Truncated):
     __slots__ = ()
     UNIT = ()
-    _degree = staticmethod(sum)
+    N = property(lambda self: self._bounds[0])
     _key_product = staticmethod(_merge)
     # kept in FockElement's own __dict__: perfbench/tracing.py wraps it there
-    __eq__ = _PowerSums.__eq__
+    __eq__ = Truncated.__eq__
+
+    @staticmethod
+    def _within(mu, bounds):
+        return sum(mu) <= bounds[0]
 
     @staticmethod
     def p(k, N):
@@ -135,7 +64,7 @@ class FockElement(_PowerSums):
         return FockElement({(k,): ONE}, N)
 
     def coefficient(self, mu):
-        return self._coefficient(tuple(mu))
+        return _coefficient(self, tuple(mu))
 
     def degree_slice(self, n):
         return FockElement({mu: c for mu, c in self.coeffs.items()
@@ -174,11 +103,10 @@ def exp_linear(c, N):
     `c` maps part sizes k to coefficients; the p_mu coefficient of the result
     is prod_k c_k^{m_k} / m_k! over the multiplicities of mu.  Each
     c_k^m / m! with m > 1 is built once per call, from the one below it, as
-    (c_k^{m-1} / (m-1)!) * c_k * (1/m).  The unit at p_() takes its type
-    from the first exponent: a Series unit for Series exponents, else ONE.
+    (c_k^{m-1} / (m-1)!) * c_k * (1/m).  The unit at p_() is the first
+    exponent to the power 0: a Series unit for Series exponents, else ONE.
     """
-    sample = next(iter(c.values()), None)
-    one = Series.one(*sample.bounds()) if isinstance(sample, Series) else ONE
+    one = next(iter(c.values()), ONE) ** 0
     powers = {}
 
     def power(k, m):
@@ -219,20 +147,21 @@ def pexp(c1, N):
 # tensor square
 # ---------------------------------------------------------------------------
 
-class TensorFockElement(_PowerSums):
+class TensorFockElement(Truncated):
     __slots__ = ()
     UNIT = ((), ())
+    N = property(lambda self: self._bounds[0])
 
     @staticmethod
-    def _degree(key):
-        return sum(key[0]) + sum(key[1])
+    def _within(key, bounds):
+        return sum(key[0]) + sum(key[1]) <= bounds[0]
 
     @staticmethod
     def _key_product(a, b):
         return _merge(a[0], b[0]), _merge(a[1], b[1])
 
     def coefficient(self, mu1, mu2):
-        return self._coefficient((tuple(mu1), tuple(mu2)))
+        return _coefficient(self, (tuple(mu1), tuple(mu2)))
 
     def __repr__(self):
         inner = ", ".join(f"p{list(m1)}(x)p{list(m2)}: {c.render()}"

@@ -1,9 +1,20 @@
-"""Truncated bivariate power series in y and z over exact scalars.
+"""Truncated algebras over exact scalars, and power series in y and z.
 
-A Series stores a finite map (y_exp, z_exp) -> Scalar together with inclusive
-truncation orders (ny, nz).  Arithmetic never reports coefficients beyond the
-bounds; the zero series has an empty map.  Binary operations combine bounds by
-taking the minimum in each grading.
+Truncated is a commutative algebra of monomials with exact coefficients, cut
+off at inclusive bounds: a finite map key -> coefficient together with the
+bounds tuple.  Stored coefficients are never zero and every stored key lies
+within the bounds, so zero is the empty map.  Binary operations take the
+minimum of the two bounds, field by field.  A subclass gives only UNIT, the
+key of the monomial 1, whether a key lies within its bounds, and the product
+of two keys; this module's Series and fock's Fock-space elements are such
+subclasses, and share the one arithmetic here.  Multiplying by an int, a
+Scalar or a Series that is not an element of the same algebra scales every
+coefficient.
+
+A Series is the truncated algebra in y and z: keys (y_exp, z_exp), bounds
+(ny, nz), Scalar coefficients.  It takes ints and Scalars as constants and
+adds the series operations (exp, log, inverse, ...).  Rational
+reconstruction in z closes the module.
 """
 
 from .scalar import (Scalar, ZERO, ONE, InconsistentSystemError, pone, padd,
@@ -14,30 +25,122 @@ class ReconstructionError(ArithmeticError):
     """No rational function of the requested degrees fits the series."""
 
 
-class Series:
-    __slots__ = ("coeffs", "ny", "nz")
+class Truncated:
+    """A truncated commutative algebra of monomials with exact coefficients.
+
+    Subclasses set UNIT and give _within(key, bounds) and _key_product(a, b).
+    """
+
+    __slots__ = ("coeffs", "_bounds")
     __hash__ = None
 
-    def __init__(self, coeffs, ny, nz):
-        self.ny = ny
-        self.nz = nz
-        self.coeffs = {k: v for k, v in coeffs.items()
-                       if k[0] <= ny and k[1] <= nz and not v.is_zero()}
+    def __init__(self, coeffs, *bounds):
+        self._bounds = bounds
+        within = self._within
+        self.coeffs = {key: c for key, c in coeffs.items()
+                       if within(key, bounds) and not c.is_zero()}
 
-    # -- constructors ---------------------------------------------------------
+    @classmethod
+    def zero(cls, *bounds):
+        return cls({}, *bounds)
+
+    @classmethod
+    def one(cls, *bounds):
+        return cls({cls.UNIT: ONE}, *bounds)
+
+    def bounds(self):
+        return self._bounds
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _coerce(self, other):
+        """other as an element of this algebra, or NotImplemented."""
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return type(self)(out, *map(min, self._bounds, other._bounds))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self.coeffs.items()},
+                          *self._bounds)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            if isinstance(other, int):
+                other = Scalar.from_int(other)
+            elif not isinstance(other, (Scalar, Series)):
+                return NotImplemented
+            return type(self)({key: c * other for key, c in self.coeffs.items()},
+                              *self._bounds)
+        bounds = tuple(map(min, self._bounds, other._bounds))
+        within, product = self._within, self._key_product
+        out = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                key = product(k1, k2)
+                if within(key, bounds):
+                    s = out.get(key)
+                    out[key] = c1 * c2 if s is None else s + c1 * c2
+        return type(self)(out, *bounds)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        theirs = other.coeffs
+        return (self.coeffs.keys() == theirs.keys()
+                and all(c == theirs[key] for key, c in self.coeffs.items()))
+
+
+class Series(Truncated):
+    __slots__ = ()
+    UNIT = (0, 0)
+    ny = property(lambda self: self._bounds[0])
+    nz = property(lambda self: self._bounds[1])
+    # kept in Series' own __dict__: perfbench/tracing.py wraps them there
+    __add__ = __radd__ = Truncated.__add__
+    __mul__ = __rmul__ = Truncated.__mul__
 
     @staticmethod
-    def zero(ny, nz):
-        return Series({}, ny, nz)
+    def _within(key, bounds):
+        return key[0] <= bounds[0] and key[1] <= bounds[1]
+
+    @staticmethod
+    def _key_product(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Scalar)):
+            return Series.const(other, *self._bounds)
+        return super()._coerce(other)
+
+    # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def const(value, ny, nz):
         value = value if isinstance(value, Scalar) else Scalar.from_int(value)
         return Series({(0, 0): value}, ny, nz)
-
-    @staticmethod
-    def one(ny, nz):
-        return Series.const(ONE, ny, nz)
 
     @staticmethod
     def z(ny, nz):
@@ -49,80 +152,18 @@ class Series:
 
     # -- structure --------------------------------------------------------------
 
-    def bounds(self):
-        return (self.ny, self.nz)
-
     def coefficient(self, iy, iz):
         return self.coeffs.get((iy, iz), ZERO)
 
     def constant_term(self):
         return self.coefficient(0, 0)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x, ny, nz):
-        if isinstance(x, Series):
-            return x
-        if isinstance(x, (int, Scalar)):
-            return Series.const(x, ny, nz)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = Series._coerce(other, self.ny, self.nz)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return Series(out, min(self.ny, other.ny), min(self.nz, other.nz))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series({k: -v for k, v in self.coeffs.items()}, self.ny, self.nz)
-
-    def __sub__(self, other):
-        other = Series._coerce(other, self.ny, self.nz)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Scalar._coerce(other)
-            return Series({k: v * other for k, v in self.coeffs.items()},
-                          self.ny, self.nz)
-        if not isinstance(other, Series):
-            return NotImplemented
-        ny, nz = min(self.ny, other.ny), min(self.nz, other.nz)
-        out = {}
-        for (y1, z1), v1 in self.coeffs.items():
-            for (y2, z2), v2 in other.coeffs.items():
-                ky, kz = y1 + y2, z1 + z2
-                if ky > ny or kz > nz:
-                    continue
-                k = (ky, kz)
-                s = out.get(k)
-                out[k] = v1 * v2 if s is None else s + v1 * v2
-        return Series(out, ny, nz)
-
-    __rmul__ = __mul__
+    # -- series operations -----------------------------------------------------------
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = Series.one(self.ny, self.nz)
+        out = self.one(*self._bounds)
         base = self
         while n:
             if n & 1:
@@ -132,23 +173,13 @@ class Series:
                 base = base * base
         return out
 
-    def __eq__(self, other):
-        other = Series._coerce(other, self.ny, self.nz)
-        if other is NotImplemented:
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(*k) == other.coefficient(*k) for k in keys)
-
-    # -- series operations -----------------------------------------------------------
-
     def exp(self):
         """exp of a series with zero constant term."""
         if not self.constant_term().is_zero():
             raise ValueError("exp needs a zero constant term")
-        out = Series.one(self.ny, self.nz)
-        power = Series.one(self.ny, self.nz)
+        out = power = self.one(*self._bounds)
         fact = 1
-        for m in range(1, self.ny + self.nz + 1):
+        for m in range(1, sum(self._bounds) + 1):
             power = power * self
             if power.is_zero():
                 break
@@ -161,9 +192,9 @@ class Series:
         if not self.constant_term().is_one():
             raise ValueError("log needs constant term 1")
         g = self - 1
-        out = Series.zero(self.ny, self.nz)
-        power = Series.one(self.ny, self.nz)
-        for m in range(1, self.ny + self.nz + 1):
+        out = self.zero(*self._bounds)
+        power = self.one(*self._bounds)
+        for m in range(1, sum(self._bounds) + 1):
             power = power * g
             if power.is_zero():
                 break
@@ -174,9 +205,8 @@ class Series:
         """sum_{m>=0} self^m, the inverse of (1 - self); needs self(0,0) = 0."""
         if not self.constant_term().is_zero():
             raise ValueError("geom needs a zero constant term")
-        out = Series.one(self.ny, self.nz)
-        power = Series.one(self.ny, self.nz)
-        for _ in range(self.ny + self.nz):
+        out = power = self.one(*self._bounds)
+        for _ in range(sum(self._bounds)):
             power = power * self
             if power.is_zero():
                 break
@@ -189,31 +219,30 @@ class Series:
         if c.is_zero():
             raise ZeroDivisionError("series constant term is zero")
         cinv = c.inverse()
-        g = Series.one(self.ny, self.nz) - self * cinv
+        g = self.one(*self._bounds) - self * cinv
         return g.geom() * cinv
 
     def reduced(self):
         """Scalar.reduced on every coefficient."""
         return Series({k: v.reduced() for k, v in self.coeffs.items()},
-                      self.ny, self.nz)
+                      *self._bounds)
 
     def adams(self, k):
         """Replace every variable by its k-th power, including y and z."""
         if k < 1:
             raise ValueError("adams index must be >= 1")
+        ny, nz = self._bounds
         out = {}
         for (iy, iz), v in self.coeffs.items():
-            if iy * k > self.ny or iz * k > self.nz:
+            if iy * k > ny or iz * k > nz:
                 continue
             out[(iy * k, iz * k)] = v.adams(k)
-        return Series(out, self.ny, self.nz)
+        return Series(out, ny, nz)
 
     def scale_z(self, factor):
         """Substitute z -> factor * z for a scalar factor."""
-        out = {}
-        for (iy, iz), v in self.coeffs.items():
-            out[(iy, iz)] = v * factor ** iz
-        return Series(out, self.ny, self.nz)
+        return Series({(iy, iz): v * factor ** iz
+                       for (iy, iz), v in self.coeffs.items()}, *self._bounds)
 
     def render(self):
         if not self.coeffs:

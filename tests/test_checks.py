@@ -6,7 +6,7 @@ from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, HBAR,
                                VARIABLES, key_exp, key_var, padams, padd,
                                pdivexact, pmul, pmul_int)
 from hilbvertex.series import Series, rational_reconstruct
-from hilbvertex.characters import partitions, boxes
+from hilbvertex.characters import partitions, boxes, fixed_points_rank2
 from hilbvertex.fock import (JJ0_READINGS, FockElement, exp_linear, tensor_exp,
                              jj0_substitute, project_second, pexp)
 from hilbvertex import macdonald
@@ -541,6 +541,14 @@ def test_prop4_examples():
     assert check_prop4(2, 1).passed
     rep = check_prop4(2, 2)
     assert rep.passed
+
+
+def test_negative_n_is_refused():
+    # as partitions(-1) is: not an UnboundLocalError, and not a pass over
+    # zero fixed points
+    for fn in (fixed_points_rank2, check_prop1, checks.check_prop4_through):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 def test_report_serialization():

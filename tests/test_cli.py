@@ -317,11 +317,24 @@ def test_resource_limit_exit_three(monkeypatch, capsys, tmp_path):
     ["vertex", "--n", "0"],
     ["calibrate"],
 ])
-def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv):
-    # exit 1 would read as a failed check; the run itself went through
-    path = str(tmp_path / "missing" / "out.json")
-    assert main([*argv, "--out", path]) == EXIT_USAGE
-    assert f"config error: cannot write {path}" in capsys.readouterr().err
+def test_unwritable_out_is_a_config_error(monkeypatch, capsys, tmp_path,
+                                          argv):
+    # exit 1 would read as a failed check; and the path is refused before
+    # any check, table, series or calibration runs
+    def ran(*args):
+        raise AssertionError("work ran before --out was refused")
+
+    cli = hilbvertex.cli
+    for name in ("run_check", "capped_vertex_table", "calibrate"):
+        monkeypatch.setattr(cli, name, ran)
+    monkeypatch.setitem(cli.SERIES_TARGETS, "taubar", (ran, False))
+    (tmp_path / "file").write_text("")
+    for parent in ("missing", "file"):
+        path = str(tmp_path / parent / "out.json")
+        assert main([*argv, "--out", path]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"config error: cannot write {path}" in err
 
 
 def test_calibrate_idempotent(tmp_path):

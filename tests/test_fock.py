@@ -209,20 +209,37 @@ def _rand_tensor_scalar(deg, N):
                               if rng.random() < 0.3}, N)
 
 
-@pytest.mark.parametrize("make, other_one", [
-    (rand_fock, TensorFockElement.one(4)),
-    (_rand_tensor_scalar, FockElement.one(4)),
-], ids=["fock", "tensor"])
-def test_shared_arithmetic(make, other_one):
-    # degree-4 factors under N = 4: every product is truncated
+def _rand_series(ny, nz):
+    return Series({(iy, iz): Scalar.from_int(rng.randint(-3, 3))
+                   * rng.choice((ONE, T1, U))
+                   for iy in range(ny + 1) for iz in range(nz + 1)
+                   if rng.random() < 0.4}, ny, nz)
+
+
+@pytest.mark.parametrize("make, bounds, other_one", [
+    (lambda: rand_fock(4, 4), (4,), TensorFockElement.one(4)),
+    (lambda: _rand_tensor_scalar(4, 4), (4,), FockElement.one(4)),
+    (lambda: _rand_series(3, 4), (3, 4), FockElement.one(4)),
+], ids=["fock", "tensor", "series"])
+def test_shared_arithmetic(make, bounds, other_one):
+    # factors of full degree under their bounds: every product is truncated
     for _ in range(4):
-        a, b, c = make(4, 4), make(4, 4), make(4, 4)
+        a, b, c = make(), make(), make()
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
-        assert a - a == type(a).zero(4)
-    one = type(a).one(4)
+        assert a - a == type(a).zero(*bounds)
+    one = type(a).one(*bounds)
     assert not (one == other_one) and one != other_one
     assert not (other_one == one) and other_one != one
+
+
+def test_series_times_fock_element_scales_it():
+    # the Series declines the product, and FockElement.__rmul__ scales
+    s = Series({(0, 0): T1, (0, 2): U}, 0, 3)
+    for f in (exp_linear(closed_exponents(2, 3), 2), rand_fock(3, 3)):
+        got = s * f
+        assert type(got) is FockElement and got == f * s
+        assert all(got.coefficient(mu) == s * c for mu, c in f.coeffs.items())
 
 
 def test_jj0_needs_series_coefficients():
