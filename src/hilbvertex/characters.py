@@ -7,8 +7,8 @@ displays is (row+1, col+1).
 A torus character is an integer Laurent polynomial in the torus weights,
 held as the plain dict {packed key: multiplicity} of scalar.py's polynomial
 layer.  Sums and tensor products are padd, psub and pmul, and the dual and
-the Adams operations are padams; det, sqrt_det and the K-theoretic Euler
-class lambda_dot turn a character into a Scalar.
+the Adams operations are padams; det and the K-theoretic Euler class
+lambda_dot turn a character into a Scalar.
 
 Frozen conventions (calibrated once against the Fock-space identities, see
 checks.calibrate):
@@ -21,14 +21,15 @@ checks.calibrate):
 
 from collections import Counter
 
-from .scalar import (Scalar, ONE, A, HBAR, KEY_ONE, VARIABLES, decode, encode,
-                     key_exp, key_var, key_inv, padd, psub, pmul, ppow,
-                     padams, pone)
+from .scalar import (Scalar, ONE, T2, A, HBAR, KEY_ONE, VARIABLES, decode,
+                     encode, key_exp, key_var, key_inv, padd, psub, pmul,
+                     ppow, padams, pone)
 
 _A_INDEX = VARIABLES.index("a")
 # key steps of the weights t1 and t2: t1^i t2^j is KEY_ONE + i*_DT1 + j*_DT2
 _DT1 = key_var("t1") - KEY_ONE
 _DT2 = key_var("t2") - KEY_ONE
+_DHBAR = _DT1 + _DT2
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +159,6 @@ def det(ch):
     return Scalar({_det_key(ch): 1})
 
 
-def sqrt_det(ch):
-    """Square root of det(ch); stays on the half-integer lattice."""
-    exps = decode(_det_key(ch))
-    if any(e % 2 for e in exps):
-        raise ValueError("determinant is not a square on the half lattice")
-    return Scalar({encode(tuple(e // 2 for e in exps)): 1})
-
-
 def lambda_dot(ch):
     """K-theoretic Euler class prod (1 - w^{-1})^mult as a Scalar.
 
@@ -184,6 +177,20 @@ def lambda_dot(ch):
     return Scalar(num, den)
 
 
+def lambda_dot_a_lead(ch):
+    """(sign, key, rest): the lowest a-order term of lambda_dot(ch) is
+    sign * x^key * lambda_dot(rest).  Weight by weight, 1 - w^-1 tends to 1
+    when w has negative a-exponent, leads with -w^-1 when it is positive,
+    and survives in rest when w is a-free; key's a-exponent is the
+    a-valuation of lambda_dot(ch)."""
+    if KEY_ONE in ch:
+        raise ValueError("trivial weight has no Koszul factor")
+    sign, key = 1, KEY_ONE
+    for k, m in a_part(ch, 1).items():
+        sign, key = -sign if m % 2 else sign, key - m * (k - KEY_ONE)
+    return sign, key, a_part(ch, 0)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point data
 # ---------------------------------------------------------------------------
@@ -194,10 +201,11 @@ def taut_character(lams, framing):
         raise ValueError("need one framing weight per partition")
     d = {}
     for lam, fr in zip(lams, framing):
-        fk = _weight_key(fr)
-        for (r, c) in boxes(lam):
-            k = fk + c * _DT1 + r * _DT2
-            d[k] = d.get(k, 0) + 1
+        row = _weight_key(fr)
+        for row_len in lam:
+            for k in range(row, row + row_len * _DT1, _DT1):
+                d[k] = d.get(k, 0) + 1
+            row += _DT2
     return d
 
 
@@ -243,16 +251,15 @@ def polarization_M2(lam1, lam2, variant="canonical"):
     framing = framing_M2()
     V = taut_character((lam1, lam2), framing)
     W = from_weights(framing)
-    t2 = Scalar.var("t2")
+    if variant == "proof":
+        return scale(pmul(dual(W), V), HBAR)
     Vs = dual(V)
     VsV = pmul(Vs, V)
     if variant == "canonical":
-        return psub(padd(pmul(W, Vs), scale(VsV, t2)), VsV)
+        return psub(padd(pmul(W, Vs), scale(VsV, T2)), VsV)
     if variant == "four_term":
-        return psub(psub(padd(pmul(dual(W), V), scale(VsV, t2.inverse())),
+        return psub(psub(padd(pmul(dual(W), V), scale(VsV, T2.inverse())),
                          scale(VsV, HBAR.inverse())), VsV)
-    if variant == "proof":
-        return scale(pmul(dual(W), V), HBAR)
     raise ValueError(f"unknown polarization variant {variant!r}")
 
 
@@ -272,18 +279,27 @@ def o_line_eigen(lam1, lam2, which="full"):
     full:  a^(-|lam1|) * prod over both diagrams of t1^(1-j) t2^(1-i);
     first: the factor of lam1 alone, without the a-power.
     """
+    return Scalar({o_line_key(lam1, lam2, which): 1})
+
+
+def o_line_key(lam1, lam2, which="full"):
+    """The packed key of the monomial o_line_eigen(lam1, lam2, which)."""
     parts = {"full": ((lam1, lam2), framing_M2()),
              "first": ((lam1,), (ONE,))}
     if which not in parts:
         raise ValueError(f"unknown component {which!r}")
-    return det(dual(taut_character(*parts[which])))
+    return _det_key(dual(taut_character(*parts[which])))
 
 
 def chern_eigen(lams, framing, k):
     """k-th elementary symmetric function of the box weights."""
     if k < 0 or k > sum(size(l) for l in lams):
         raise ValueError(f"chern index {k} out of range")
-    weights = taut_character(lams, framing)
+    return elementary(taut_character(lams, framing), k)
+
+
+def elementary(weights, k):
+    """e_k of an effective character as a Scalar; 0 when k exceeds its rank."""
     if any(m < 0 for m in weights.values()):
         raise ValueError("character is not effective")
     # elementary symmetric polynomials by sequential convolution on keys, in
@@ -316,16 +332,22 @@ def delta_11(lam1, lam2, variant="proof"):
     not reproduce this (it differs by half powers of hbar); both are exposed
     so the limit check can report which one validates.
     """
+    key, n_minus = delta_11_parts(lam1, lam2, variant)
+    return Scalar({key: 1}) * lambda_dot(n_minus)
+
+
+def delta_11_parts(lam1, lam2, variant="proof"):
+    """(key, N^-) with delta_11(lam1, lam2, variant) = x^key Euler(N^-)."""
     n = size(lam1) + size(lam2)
     half = polarization_M2(lam1, lam2, variant)
     n_minus = a_part(_completed(half), -1)
-    euler = lambda_dot(n_minus)
-    hbar_pow = HBAR ** (-n)
     if variant == "proof":
-        return hbar_pow * det(a_part(half, -1)).inverse() * euler
+        return 2 * KEY_ONE - n * _DHBAR - _det_key(a_part(half, -1)), n_minus
     if variant == "four_term":
-        nontrivial = padd(a_part(half, -1), a_part(half, 1))
-        # det(N^-)/det(T_{!=0}) as a character
-        ratio = psub(n_minus, nontrivial)
-        return hbar_pow * sqrt_det(ratio) * euler
+        # det(N^-)/det(T_{!=0}), square-rooted on the half-integer lattice
+        exps = decode(_det_key(psub(n_minus, padd(a_part(half, -1),
+                                                   a_part(half, 1)))))
+        if any(e % 2 for e in exps):
+            raise ValueError("determinant is not a square on the half lattice")
+        return encode(tuple(e // 2 for e in exps)) - n * _DHBAR, n_minus
     raise ValueError(f"unknown delta variant {variant!r}")

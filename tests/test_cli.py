@@ -107,9 +107,22 @@ def test_verify_rationality_above_the_table_cap_builds_nothing(monkeypatch):
     assert built == []
 
 
-def test_verify_n_above_the_y_bound_exit_two():
-    n = hilbvertex.checks.HARD_Y_BOUND + 1
-    assert main(["verify", "prop4", "--n", str(n)]) == EXIT_USAGE
+def test_verify_n_above_the_rank2_cap_exit_two(monkeypatch):
+    # the rank-2 limits build no basis, so their cap is their own, not the
+    # basis bound HARD_Y_BOUND
+    ran = []
+    monkeypatch.setattr(hilbvertex.cli, "run_check",
+                        lambda *a: ran.append(a))
+    n = hilbvertex.checks.RANK2_N_MAX + 1
+    assert n - 1 > hilbvertex.checks.HARD_Y_BOUND
+    for target in ("prop1", "prop4"):
+        assert main(["verify", target, "--n", str(n)]) == EXIT_USAGE
+    assert ran == []
+
+
+def test_verify_rank2_limits_at_their_cap():
+    n = hilbvertex.checks.RANK2_N_MAX
+    assert main(["verify", "prop1", "prop4", "--n", str(n)]) == EXIT_OK
 
 
 def test_verify_main_at_its_lowest_orders():
