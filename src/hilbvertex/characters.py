@@ -16,7 +16,8 @@ checks.calibrate):
   - Hilbert-scheme tangent orientation pairs t1 with arms:
         T_lam = sum_box t1^(arm+1) t2^(-leg) + t1^(-arm) t2^(leg+1);
   - on M(n,2) the splitting torus scales the *first* framing summand by a,
-    matching the line-bundle eigenvalue a^(-|lam1|) * prod t1^(1-j) t2^(1-i).
+    matching the line-bundle eigenvalue a^(-|lam1|) * prod t1^(1-j) t2^(1-i);
+    check_prop4 takes the swap (1, a), whose c_k limit is lam1's, not lam2's.
 """
 
 from collections import Counter
@@ -300,6 +301,8 @@ def chern_eigen(lams, framing, k):
 
 def elementary(weights, k):
     """e_k of an effective character as a Scalar; 0 when k exceeds its rank."""
+    if k < 0:
+        raise ValueError(f"chern index {k} out of range")
     if any(m < 0 for m in weights.values()):
         raise ValueError("character is not effective")
     # elementary symmetric polynomials by sequential convolution on keys, in

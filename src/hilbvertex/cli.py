@@ -107,7 +107,7 @@ def cmd_verify(args):
               f"orders={rep.orders} ({rep.seconds:.2f}s)")
         if not rep.passed:
             print(json.dumps(rep.details, indent=2, sort_keys=True))
-    payload = [dict(rep.to_dict(), seconds=None) for rep in reports]
+    payload = [rep.to_dict() for rep in reports]
     if args.out:
         _write(args.format or "json", args.out, payload,
                ["check", "outcome", "orders"],

@@ -575,18 +575,12 @@ class Scalar:
         s.den = padams(self.den, k)
         return s
 
-    @staticmethod
-    def _var_min(poly, iv):
-        s = _FIELD_BITS * iv
-        return min([(k >> s) & _MASK for k in poly]) - _BIAS
-
     def limit_at_zero(self, name):
         """Value at name=0; raises LimitError when the valuation is negative."""
         if not self.num:
             return Scalar(pzero())
         iv = VARIABLES.index(name)
-        vn = Scalar._var_min(self.num, iv)
-        vd = Scalar._var_min(self.den, iv)
+        vn, vd = pmin_exps(self.num)[iv], pmin_exps(self.den)[iv]
         if vn < vd:
             raise LimitError(name, Fraction(vn - vd, 2))
         if vn > vd:

@@ -12,7 +12,7 @@ from hilbvertex.characters import (partitions, conjugate, size, boxes, arm,
                                    o_line_eigen, chern_eigen,
                                    fixed_points_rank2, framing_M2,
                                    from_weights, dual, a_part, det,
-                                   lambda_dot)
+                                   elementary, lambda_dot)
 from hilbvertex.macdonald import euler_hilb
 
 rng = random.Random(515)
@@ -147,6 +147,16 @@ def test_chern_examples():
     assert chern_eigen(((1,), (1,)), (ONE, A), 2) == A
     with pytest.raises(ValueError):
         chern_eigen(((1,),), (ONE,), 2)
+
+
+def test_elementary_refuses_a_negative_index():
+    # as chern_eigen does; a list index from the end would give e_(r+1+k)
+    # or run off the list
+    ch = taut_character(((2, 1),), (ONE,))
+    assert elementary(ch, 4) == ZERO
+    for k in (-1, -2, -5):
+        with pytest.raises(ValueError, match=f"chern index {k} out of range"):
+            elementary(ch, k)
 
 
 def _chern_by_scalar_convolution(lams, framing, k):

@@ -556,6 +556,8 @@ def test_report_serialization():
     data = json.loads(json.dumps(rep.to_dict()))
     assert data["check"] == "chern_limit"
     assert data["outcome"] == "exact-match"
+    # the time is on the report, and never in its file form
+    assert rep.seconds > 0 and data["seconds"] is None
 
 
 def test_run_check_dispatch():

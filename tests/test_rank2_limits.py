@@ -13,7 +13,7 @@ from hilbvertex import characters, checks
 from hilbvertex.characters import (chern_eigen, delta_11, fixed_points_rank2,
                                    o_line_eigen, size)
 from hilbvertex.checks import (PROP1_POWERS, PROP1_VARIANTS, check_prop1,
-                               check_prop4)
+                               check_prop4, check_prop4_through)
 from hilbvertex.scalar import (A, HBAR, ONE, ZERO, KEY_ONE, LimitError,
                                key_var, padd)
 
@@ -70,19 +70,44 @@ def prop4_reference(n, k):
     return "exact-match", {"n": n, "k": k, "fixed_points": len(points)}
 
 
-def _prop4_both(n, k):
-    """(weights, reference) for one k, each as (outcome, details) or the
-    type of the error it raised."""
-    def weights():
+def prop4_through_reference(n):
+    """check_prop4_through's (outcome, orders, details) as check_prop4 once
+    per k: the first failing k's report, or the last one with the k
+    checked."""
+    for k in range(n + 1):
         rep = check_prop4(n, k)
-        return rep.outcome, rep.details
+        if not rep.passed:
+            return rep.outcome, rep.orders, rep.details
+    return (rep.outcome, rep.orders,
+            dict(rep.details, k_checked=list(range(n + 1))))
+
+
+def _outcomes(*runs):
+    """Each run's result, or the type of the error it raised."""
     out = []
-    for run in (weights, lambda: prop4_reference(n, k)):
+    for run in runs:
         try:
             out.append(run())
         except (ArithmeticError, ValueError) as e:
             out.append(type(e))
     return out
+
+
+def _prop4_both(n, k):
+    """(weights, reference) for one k, each as (outcome, details)."""
+    def weights():
+        rep = check_prop4(n, k)
+        return rep.outcome, rep.details
+    return _outcomes(weights, lambda: prop4_reference(n, k))
+
+
+def _through_both(n):
+    """(one pass, per-k loop) for check_prop4_through(n), each as (outcome,
+    orders, details)."""
+    def one_pass():
+        rep = check_prop4_through(n)
+        return rep.outcome, rep.orders, rep.details
+    return _outcomes(one_pass, lambda: prop4_through_reference(n))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -95,6 +120,29 @@ def test_prop4_matches_the_scalar_route_at_every_k(n):
     for k in range(n + 1):
         weights, reference = _prop4_both(n, k)
         assert weights == reference, k
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_prop4_through_matches_the_per_k_loop(n):
+    one_pass, loop = _through_both(n)
+    assert one_pass == loop
+
+
+@pytest.mark.parametrize("n", [0, 3, 6])
+def test_prop4_through_builds_each_character_once(monkeypatch, n):
+    # one pass: the fixed points once, two characters per fixed point, and
+    # no report per k
+    calls = {"fixed_points_rank2": 0, "taut_character": 0}
+    for name in calls:
+        def counted(*args, real=getattr(checks, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(checks, name, counted)
+    monkeypatch.setattr(checks, "check_prop4",
+                        lambda *args: pytest.fail("check_prop4 was called"))
+    assert check_prop4_through(n).passed
+    assert calls == {"fixed_points_rank2": 1,
+                     "taut_character": 2 * len(fixed_points_rank2(n))}
 
 
 @pytest.mark.parametrize("n, k", [(2, 3), (2, -1), (0, 1)])
@@ -171,9 +219,39 @@ def test_prop4_meets_doctored_weights(monkeypatch, extra):
     monkeypatch.setattr(checks, "taut_character", doctored)
     outcomes = set()
     for n in range(4):
+        one_pass, loop = _through_both(n)
+        assert one_pass == loop, n
         for k in range(n + 1):
             weights, reference = _prop4_both(n, k)
             assert weights == reference, (n, k)
             outcomes.add(weights if isinstance(weights, type)
                          else weights[0])
     assert len(outcomes) > 1
+
+
+def test_prop4_through_names_the_first_failing_k(monkeypatch):
+    # at n = 3 the fixed point ((2, 1), ()) comes before ((1,), (2,)).  The
+    # first gains a weight of multiplicity 0, so it is open with every e_k
+    # unchanged, and a doctored elementary is off by 1 there at k = 3 only;
+    # the second gains an a-free weight, which fails at k = 1 and passes at
+    # k = 3.  The witness is the smaller k, at the later fixed point.
+    mark, extra = key_var("t2", 14), key_var("t1", 14)
+    real_char, real_e = checks.taut_character, checks.elementary
+
+    def doctored_char(lams, framing):
+        ch = real_char(lams, framing)
+        if lams == ((2, 1), ()):
+            return {**ch, mark: 0}
+        return padd(ch, {extra: 1}) if lams == ((1,), (2,)) else ch
+
+    def doctored_e(weights, k):
+        e = real_e(weights, k)
+        return e + ONE if mark in weights and k == 3 else e
+    monkeypatch.setattr(checks, "taut_character", doctored_char)
+    monkeypatch.setattr(checks, "elementary", doctored_e)
+    assert check_prop4(3, 3).details["fixed_point"] == [[2, 1], []]
+    assert check_prop4(3, 1).details["fixed_point"] == [[1], [2]]
+    one_pass, loop = _through_both(3)
+    assert one_pass == loop
+    assert one_pass == ("mismatch", {"n": 3, "k": 1},
+                        check_prop4(3, 1).details)
