@@ -210,11 +210,11 @@ def taut_character(lams, framing):
     return d
 
 
-def tangent_hilb(lam, orientation="arms_t1"):
+def tangent_hilb(lam, orientation):
     """Tangent character of Hilb^|lam| at the fixed point lam.
 
     orientation chooses which axis pairs with arm lengths; "arms_t1" is the
-    calibrated default (the unique choice under which the Fock-space kernel
+    calibrated choice (the unique one under which the Fock-space kernel
     identity holds, see checks.calibrate).  "arms_t2" swaps t1 and t2, which
     is "arms_t1" at the conjugate partition.
     """

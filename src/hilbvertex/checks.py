@@ -40,15 +40,15 @@ from functools import reduce
 
 from .scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR, KEY_ONE,
                      VARIABLES, key_exp, key_var, padd, pdivexact, pmul,
-                     pmul_into, pneg, pone)
+                     pmul_int, pmul_into, pneg, pone)
 from .series import Series
 from .characters import (partitions, boxes, size, fixed_points_rank2, a_part,
                          delta_11_parts, elementary, lambda_dot,
                          lambda_dot_a_lead, o_line_key, taut_character)
 from .fock import (exp_linear, plethystic_exponents, jj0_correction,
                    JJ0_READINGS)
-from .macdonald import (MAX_DEGREE, clear_row, default_basis, euler_hilb,
-                        norm, ratio, star_weight)
+from .macdonald import (MAX_DEGREE, default_basis, euler_hilb, norm, ratio,
+                        star_weight)
 
 _Q_INDEX, _A_INDEX, _W_INDEX = (VARIABLES.index(v) for v in "qaw")
 
@@ -411,11 +411,12 @@ class CappedVertexTable:
     coefficients to fix a ratio of two polynomials of degree B.
     """
 
-    def __init__(self, n, entries, q_free):
+    def __init__(self, n, entries, q_witness):
         self.n = n
         self.entries = entries  # lam -> (num {deg: Scalar}, den {deg: Scalar})
         self.certified_order = n * (n + 1) + 2
-        self.q_free = q_free
+        self.q_witness = q_witness
+        self.q_free = q_witness is None
 
     def to_dict(self):
         rows = []
@@ -502,35 +503,35 @@ def capped_vertex_table(n):
 
     with no truncation in z; the numerator has degree at most B = n(n+1)/2,
     the degree of D_n.  w is a variable of the packed keys (scalar.py), so
-    the sum runs on packed integer polynomials: N_k, cof_rho and the H_lam
-    row of the certified basis (MacdonaldBasis.build_degree) cleared over
-    one integer, each product added into the row's sum in place.  The entry
-    is q-free in w exactly when no key of its numerator has a q exponent
-    (q_free).  Last, each w^j is written as z^j (hbar/q)^j, with one Scalar
-    per printed coefficient.
+    the sum runs on packed integer polynomials: N_k, cof_rho and the
+    integer H_lam row of the certified basis (MacdonaldBasis.build_degree),
+    whose one integer den joins the entry's denominator, each product added
+    into the row's sum in place.  The entry is q-free in w exactly when no
+    key of its numerator has a q exponent; q_witness is the first lam whose
+    entry is not.  Last, each w^j is written as z^j (hbar/q)^j, with one
+    Scalar per printed coefficient.
     """
     if n > VERTEX_N_MAX:
         raise ValueError(f"vertex tables are configured for "
                          f"n <= {VERTEX_N_MAX}")
-    basis = default_basis().build_degree(n)
+    rows, basis_den = default_basis().build_degree(n)
     N = {k: _w_numerator(k) for k in range(1, n + 1)}
     terms = {rho: reduce(pmul, (N[k] for k in rho), _cofactor(n, rho))
              for rho in partitions(n)}
     den = candidate_denominator(n)
     entries = {}
-    q_free = True
+    q_witness = None
     for lam in partitions(n):
-        H = basis[lam]
-        *row, one = clear_row([*H.values(), ONE])
         acc = {}
-        for rho, h in zip(H, row):
+        for rho, h in rows[lam].items():
             pmul_into(acc, h, terms[rho])
         r = ratio(lam, "arms_t1")
         num = pmul(r.num, {key: c for key, c in acc.items() if c})
-        q_free = q_free and not any(key_exp(key, _Q_INDEX) for key in num)
-        entries[lam] = ({j: Scalar(c, pmul(r.den, one))
+        if q_witness is None and any(key_exp(key, _Q_INDEX) for key in num):
+            q_witness = lam
+        entries[lam] = ({j: Scalar(c, pmul_int(r.den, basis_den))
                          for j, c in _in_z(num).items()}, den)
-    return CappedVertexTable(n, entries, q_free)
+    return CappedVertexTable(n, entries, q_witness)
 
 
 def check_rationality(n=3):
@@ -538,15 +539,17 @@ def check_rationality(n=3):
 
     Decides whether each table, written in w = z hbar / q, is free of q
     (the table's q_free): an exact scan of the keys of its integer
-    numerators, see capped_vertex_table.  The den of every entry is
+    numerators, see capped_vertex_table; a mismatch names the table's
+    q_witness as its fixed point.  The den of every entry is
     candidate_denominator(n) itself, by construction, so whether den
     divides the candidate is not tested again."""
     degrees = list(range(1, n + 1))
 
     def run():
         for m in degrees:
-            if not capped_vertex_table(m).q_free:
-                return "mismatch", {"n": m,
+            lam = capped_vertex_table(m).q_witness
+            if lam is not None:
+                return "mismatch", {"n": m, "fixed_point": list(lam),
                                     "reason": "shifted form depends on q"}
         return "exact-match", {"degrees": degrees}
     return _timed("rationality", {"n": n}, run)
@@ -617,23 +620,18 @@ def check_prop1(n=3):
     O(-1) a^p (a square root for four_term) times prod (1 - w^-1)^-1 over
     N^-, whose weights all have negative a-exponent, so every factor tends
     to 1.  The limit is the monomial when its a-exponent is 0 and zero when
-    it is positive; a negative one is a pole.  Characters are built once
-    per fixed point and variant.
+    it is positive; a negative one is a pole.  Each (variant, power) pair
+    walks the fixed points and stops at its first failing one.
     """
     def run():
-        failed = {}
-        for (l1, l2) in fixed_points_rank2(n):
-            rhs = o_line_key(l1, l2, "first") + (n + size(l2)) * _HBAR_STEP
-            o_full, leads = o_line_key(l1, l2), {}
-            for variant, pname in PROP1_PAIRS:
-                if (variant, pname) in failed:
-                    continue
-                if variant not in leads:
-                    key, n_minus = delta_11_parts(l1, l2, variant)
-                    sign, lead, rest = lambda_dot_a_lead(pneg(n_minus))
-                    leads[variant] = sign, o_full - key + lead, rest
-                sign, key, rest = leads[variant]
-                key += (n if pname == "n" else 2 * n) * _A_STEP
+        points, failed = fixed_points_rank2(n), {}
+        for variant, pname in PROP1_PAIRS:
+            power = (n if pname == "n" else 2 * n) * _A_STEP
+            for (l1, l2) in points:
+                rhs = o_line_key(l1, l2, "first") + (n + size(l2)) * _HBAR_STEP
+                key, n_minus = delta_11_parts(l1, l2, variant)
+                sign, lead, rest = lambda_dot_a_lead(pneg(n_minus))
+                key = o_line_key(l1, l2) - key + lead + power
                 if sign == 1 and not rest and key == rhs:
                     continue
                 v, want = key_exp(key, _A_INDEX), Scalar({rhs: 1})
@@ -647,6 +645,7 @@ def check_prop1(n=3):
                     wit = {"limit": lim.render(), "expected": want.render()}
                 failed[variant, pname] = {"fixed_point": [list(l1), list(l2)],
                                           **wit}
+                break
         validated = [{"variant": v, "a_power": p}
                      for v, p in PROP1_PAIRS if (v, p) not in failed]
         details = {

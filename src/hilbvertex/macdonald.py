@@ -16,13 +16,15 @@ algebra.  Two independent constructions serve as cross-checks:
     Without multivariate gcd its intermediate fractions grow too fast beyond
     degree 4, so it serves at small degree only.
 
-certify checks the table actually built against these axioms, and
+A degree is stored once, as integer polynomial rows over one integer den
+(see macd_H_hhl); Scalars are made only where H_lam or a pairing leaves the
+basis.  certify checks the table actually built against these axioms, and
 MacdonaldBasis.build_degree stores a degree only once it passes, so a basis
-never serves an uncertified degree.  certify runs each p_rho coefficient of
-a row as one Python int, one slot per q^i t^j (Kronecker substitution), wide
-enough for an explicit bound on every coefficient: the twist by
-prod_{k in rho} (1 - x^k) is then shifts and subtractions, and each Schur
-coefficient a few big-integer multiply-adds (_twisted_schur).
+never serves an uncertified degree.  certify runs each row entry as one
+Python int, one slot per q^i t^j (Kronecker substitution), wide enough for
+an explicit bound on every coefficient: the twist by prod_{k in rho}
+(1 - x^k) is then shifts and subtractions, and each Schur coefficient a few
+big-integer multiply-adds (_twisted_schur).
 
 Two closed rules give the transitions between the classical bases
 (Macdonald, "Symmetric Functions and Hall Polynomials", I.2 and I.7):
@@ -98,7 +100,7 @@ def z_mu(mu):
     return prod(k ** m * factorial(m) for k, m in Counter(mu).items())
 
 
-def clear_row(entries):
+def _clear_row(entries):
     """Clear the denominators of one equation.
 
     Entries must be Scalars with monomial denominators, which the stored
@@ -358,10 +360,11 @@ def macd_H_hhl(n):
     H~_mu = sum over fillings sigma of mu of q^inv(sigma) t^maj(sigma)
     x^sigma (Haglund, Haiman and Loehr, "A combinatorial formula for
     Macdonald polynomials", J. Amer. Math. Soc. 18, 2005), read off in the
-    monomial basis by _hhl_fillings and mapped to the p-basis with m_to_p,
-    over one common integer denominator.  H~_mu' is H~_mu with q and t
-    exchanged, so only the shapes with at least as many rows as columns are
-    summed: their short rows are the ones the row-by-row sum merges best.
+    monomial basis by _hhl_fillings and mapped to the p-basis with m_to_p.
+    Returns (rows, den) with H~_mu,rho = rows[mu][rho] / den: packed integer
+    polynomials over the one integer that clears m_to_p.  H~_mu' is H~_mu
+    with q and t exchanged, so only the shapes with at least as many rows as
+    columns are summed; their short rows merge best in the row-by-row sum.
     """
     parts = partitions(n)
     m2p = m_to_p(n)
@@ -370,7 +373,7 @@ def macd_H_hhl(n):
            for lam, row in m2p.items()}
     summed = {mu: _hhl_fillings(mu) for mu in parts
               if len(mu) >= len(conjugate(mu))}
-    out = {}
+    rows = {}
     for mu in parts:
         # H~_mu(q, t) = H~_mu'(t, q)
         src, (di, dj) = ((mu, (_DQ, _DT)) if mu in summed
@@ -382,12 +385,9 @@ def macd_H_hhl(n):
                 a = acc.setdefault(rho, {})
                 for k, c in poly.items():
                     a[k] = a.get(k, 0) + c * f
-        out[mu] = {}
-        for rho in parts:
-            num = {k: c for k, c in acc.get(rho, {}).items() if c}
-            if num:
-                out[mu][rho] = Scalar(num, pconst(den))
-    return out
+        rows[mu] = {rho: row for rho in parts if (row := {
+            k: c for k, c in acc.get(rho, {}).items() if c})}
+    return rows, den
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +442,8 @@ def macd_P(n):
     out = {}
     for i, lam in enumerate(order):
         lower = order[:i]
-        rows = [clear_row([gram[(nu, mu)] for nu in lower]
-                          + [gram[(lam, mu)]]) for mu in lower]
+        rows = [_clear_row([gram[(nu, mu)] for nu in lower]
+                           + [gram[(lam, mu)]]) for mu in lower]
         xs = solve_poly_system([r[:-1] for r in rows], [r[-1] for r in rows])
         f = dict(m2p[lam])
         for nu, x in zip(lower, xs):
@@ -515,7 +515,7 @@ def macd_H_axioms(n):
 
     out = {}
     for lam in parts:
-        rows = [clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
+        rows = [_clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
                 for A, top in ((Aq, lam), (At, conjugate(lam)))
                 if not dominates(mu, top)]
         rhs = [pzero() for _ in rows] + [pone()]
@@ -623,25 +623,22 @@ def ratio(lam, orientation):
 # the certified basis
 # ---------------------------------------------------------------------------
 
-def certify(n, H):
-    """Check the degree-n table H = {mu: {rho: H_mu,rho}} against Haiman's
-    axioms.
+def certify(n, rows, den):
+    """Check the degree-n table H_mu,rho = rows[mu][rho] / den against
+    Haiman's axioms.
 
     H~_mu is the unique symmetric function with H~_mu[X(1-q)] in the span of
     the s_lam with lam >= mu, H~_mu[X(1-t)] in the span of the s_lam with
     lam >= mu', and <H~_mu, s_(n)> = 1 (Haiman, J. Amer. Math. Soc. 14,
     2001).  Raises ArithmeticError naming mu, the axiom and lam.
 
-    Each row is cleared to integer polynomials in q and t, and _twisted_schur
-    forms the Schur coefficients of both twists on packed integers, with a
-    slot width that no coefficient can overflow, so an axiom holds exactly
-    when every packed coefficient outside its span is the integer 0.
+    The rows are integer polynomials in q and t, and _twisted_schur forms
+    the Schur coefficients of both twists on packed integers, with a slot
+    width that no coefficient can overflow, so an axiom holds exactly when
+    every packed coefficient outside its span is the integer 0.
     """
     chars = character_table(n)
-    for mu, row in H.items():
-        # polynomials over one common factor, which the cleared ONE holds
-        *coeffs, one = clear_row([*row.values(), ONE])
-        f = dict(zip(row, coeffs))
+    for mu, f in rows.items():
         for x, step, top in (("q", _DQ, mu), ("t", _DT, conjugate(mu))):
             low = {lam: chi for lam, chi in chars.items()
                    if not dominates(lam, top)}
@@ -650,11 +647,11 @@ def certify(n, H):
                     raise ArithmeticError(
                         f"H_{mu} fails the {x}-axiom: H_mu[X(1-{x})] "
                         f"has a nonzero s_{lam} coefficient")
-        # <f, s_(n)> is the sum of the p-coefficients of f
+        # <f, s_(n)> is the sum of the p-coefficients of f, here over den
         total = Counter()
-        for c in coeffs:
+        for c in f.values():
             total.update(c)
-        if {k: v for k, v in total.items() if v} != one:
+        if {k: v for k, v in total.items() if v} != pconst(den):
             raise ArithmeticError(
                 f"H_{mu} fails the normalization: its s_({n}) "
                 f"coefficient is not 1")
@@ -671,21 +668,23 @@ class MacdonaldBasis:
         self._H = {}
 
     def build_degree(self, n):
-        """The degree-n table {lam: {rho: H_lam,rho}}, built by macd_H_hhl
-        and certified once; a table that fails certify is not stored."""
+        """The degree-n table (rows, den) of macd_H_hhl, certified once; a
+        table that fails certify is not stored."""
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} beyond the bound {MAX_DEGREE}")
-        H = self._H.get(n)
-        if H is None:
-            H = macd_H_hhl(n)
-            certify(n, H)
-            self._H[n] = H
-        return H
+        table = self._H.get(n)
+        if table is None:
+            table = macd_H_hhl(n)
+            certify(n, *table)
+            self._H[n] = table
+        return table
 
     def H(self, lam):
         """H_lam as a FockElement with Scalar coefficients."""
         n = sum(lam)
-        return FockElement(self.build_degree(n)[tuple(lam)], n)
+        rows, den = self.build_degree(n)
+        return FockElement({rho: Scalar(h, pconst(den))
+                            for rho, h in rows[tuple(lam)].items()}, n)
 
     def pairings(self, f, n):
         """{lam: <f, H_lam>_*} for the degree-n slice of f.
@@ -723,14 +722,15 @@ class MacdonaldBasis:
 
     def _pair(self, n, terms):
         """{lam: sum_rho H_lam,rho terms[rho]}, a missing term being zero."""
+        rows, den = self.build_degree(n)
         out = {}
-        for lam, H in self.build_degree(n).items():
+        for lam, row in rows.items():
             total = ZERO
-            for rho, h in H.items():
+            for rho, h in row.items():
                 t = terms.get(rho)
                 if t is not None:
-                    total = t * h + total
-            out[lam] = total
+                    total = t * Scalar(h) + total
+            out[lam] = total * Scalar.fraction(1, den)
         return out
 
     def decompose(self, f, n):

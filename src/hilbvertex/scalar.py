@@ -239,24 +239,6 @@ def _grlex(key):
     return (sum(e), e)
 
 
-# 2^20 = 1 modulo _MASK = 2^20 - 1, so (k - KEY_ONE + _HALF) % _MASK is the
-# total degree plus _HALF, exactly while the degree lies in [-_HALF, _HALF]
-_HALF = _MASK // 2
-_DEGREE_SHIFT = _HALF - KEY_ONE
-
-
-def plead(f):
-    """Leading key under graded-lex order on doubled exponents.
-
-    The total degree is read off the packed key; `decode` runs only to break
-    ties among the keys of the top degree.
-    """
-    ranks = {k: (k + _DEGREE_SHIFT) % _MASK for k in f}
-    top = max(ranks.values())
-    tied = [k for k, r in ranks.items() if r == top]
-    return tied[0] if len(tied) == 1 else max(tied, key=decode)
-
-
 def padams(f, n):
     """Raise every variable to the n-th power (ring homomorphism).
 
@@ -340,6 +322,13 @@ def _monomial(key):
             factors.append(f"{name}^({e}/2)")
     entry = _MONOMIALS[key] = (rank, "*".join(factors))
     return entry
+
+
+def plead(f):
+    """Leading key under graded-lex order on doubled exponents, ranked
+    through the memo of `prender`."""
+    memo = _MONOMIALS
+    return max(f, key=lambda k: (memo.get(k) or _monomial(k))[0])
 
 
 def prender(f):

@@ -62,16 +62,17 @@ def test_box_keys_match_the_weight_products():
             w for (r, c) in boxes(lam)
             for w in (T1 ** (arm(lam, r, c) + 1) * T2 ** -leg(lam, r, c),
                       T1 ** -arm(lam, r, c) * T2 ** (leg(lam, r, c) + 1)))
-        assert list(tangent_hilb(lam).items()) == list(want.items())
+        got = tangent_hilb(lam, "arms_t1")
+        assert list(got.items()) == list(want.items())
 
 
 def test_tangent_hilb_examples():
-    assert weight_set(tangent_hilb((1,))) == sorted(["t1", "t2"])
-    assert weight_set(tangent_hilb((2,))) == sorted(
+    assert weight_set(tangent_hilb((1,), "arms_t1")) == sorted(["t1", "t2"])
+    assert weight_set(tangent_hilb((2,), "arms_t1")) == sorted(
         ["t1^2", "(t2) / (t1)", "t1", "t2"])
     for n in range(7):
         for lam in partitions(n):
-            assert rank(tangent_hilb(lam)) == 2 * size(lam)
+            assert rank(tangent_hilb(lam, "arms_t1")) == 2 * size(lam)
 
 
 def test_tangent_swap_conjugate_symmetry():
@@ -85,8 +86,9 @@ def test_tangent_swap_conjugate_symmetry():
         return out
     for n in range(7):
         for lam in partitions(n):
-            assert swapped(tangent_hilb(lam)) == tangent_hilb(conjugate(lam))
-            assert swapped(tangent_hilb(lam)) == tangent_hilb(lam, "arms_t2")
+            got = swapped(tangent_hilb(lam, "arms_t1"))
+            assert got == tangent_hilb(conjugate(lam), "arms_t1")
+            assert got == tangent_hilb(lam, "arms_t2")
     with pytest.raises(ValueError):
         tangent_hilb((1,), "arms_t3")
 
@@ -123,7 +125,8 @@ def test_tangent_M2_rank_and_fixed_part():
         for (l1, l2) in fixed_points_rank2(n):
             T = tangent_M2(l1, l2, "canonical")
             assert rank(T) == 4 * n
-            assert a_part(T, 0) == padd(tangent_hilb(l1), tangent_hilb(l2))
+            assert a_part(T, 0) == padd(tangent_hilb(l1, "arms_t1"),
+                                        tangent_hilb(l2, "arms_t1"))
 
 
 def test_four_term_polarization_is_rank_deficient():

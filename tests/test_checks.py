@@ -276,6 +276,8 @@ def test_rationality_finds_a_stray_q(monkeypatch, stray_k):
     rep = check_rationality(3)
     assert rep.outcome == "mismatch"
     assert rep.details["n"] == stray_k
+    # the first fixed point whose entry depends on q is (k,)
+    assert rep.details["fixed_point"] == [stray_k]
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -302,9 +304,9 @@ def test_vertex_table_certifies_its_basis(monkeypatch):
     build = macdonald.macd_H_hhl
 
     def doctored(n):
-        H = build(n)
-        H[(1, 1)] = H[(2,)]
-        return H
+        rows, den = build(n)
+        rows[(1, 1)] = rows[(2,)]
+        return rows, den
     monkeypatch.setattr(macdonald, "macd_H_hhl", doctored)
     basis = MacdonaldBasis()
     monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)

@@ -1,14 +1,15 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, KEY_ONE, decode,
-                               encode, padd)
+                               encode, padd, pconst, pmul_int)
 from hilbvertex.characters import partitions, conjugate, n_stat
 from hilbvertex import macdonald
 from hilbvertex.macdonald import (MacdonaldBasis, MAX_DEGREE, macd_H,
@@ -83,10 +84,10 @@ def _corrupted_shared_basis(monkeypatch):
     build = macdonald.macd_H_hhl
 
     def doctored(n):
-        H = build(n)
+        rows, den = build(n)
         if n == 2:
-            H[(1, 1)] = H[(2,)]
-        return H
+            rows[(1, 1)] = rows[(2,)]
+        return rows, den
     monkeypatch.setattr(macdonald, "macd_H_hhl", doctored)
     basis = MacdonaldBasis()
     monkeypatch.setattr(macdonald, "_DEFAULT_BASIS", basis)
@@ -127,16 +128,17 @@ def test_exp_pairings_certify_the_basis_first(monkeypatch):
 @pytest.mark.parametrize("corrupt, message", [
     (lambda H: H.update({(2, 1): H[(3,)]}),
      r"H_\(2, 1\) fails the t-axiom: .* s_\(1, 1, 1\) "),
-    (lambda H: H.update({(2, 1): {r: v * 2 for r, v in H[(2, 1)].items()}}),
+    (lambda H: H.update({(2, 1): {r: pmul_int(v, 2)
+                                   for r, v in H[(2, 1)].items()}}),
      r"H_\(2, 1\) fails the normalization: .* s_\(3\) "),
     (lambda H: H.update({(3,): H[(1, 1, 1)]}),
      r"H_\(3,\) fails the q-axiom: .* s_\(2, 1\) "),
 ], ids=["t_axiom", "normalization", "q_axiom"])
 def test_certificate_names_mu_axiom_and_lam(corrupt, message):
-    H = macd_H_hhl(3)
-    corrupt(H)
+    rows, den = macd_H_hhl(3)
+    corrupt(rows)
     with pytest.raises(ArithmeticError, match=message):
-        certify(3, H)
+        certify(3, rows, den)
 
 
 def _twisted_schur_reference(f, step, chars):
@@ -185,19 +187,21 @@ def test_twisted_schur_reads_a_digit_at_its_bound(sign):
         assert _twisted_schur(f, step, chars) == {(): f[()]}
 
 
-def _certificate_error(H, n):
-    """The certificate's message on the degree-n table H, or None."""
+def _certificate_error(n, rows, den):
+    """The certificate's message on the degree-n table (rows, den), or
+    None."""
     try:
-        certify(n, H)
+        certify(n, rows, den)
     except ArithmeticError as e:
         return str(e)
     return None
 
 
-def _doctored(H, mu, rho, extra):
-    """A copy of the degree-n basis H with extra added to H_mu,rho."""
-    out = {lam: dict(row) for lam, row in H.items()}
-    out[mu][rho] = out[mu].get(rho, ZERO) + extra
+def _doctored(rows, den, mu, rho, extra):
+    """A copy of the degree-n rows with the Scalar extra, which has integer
+    coefficients, added to H_mu,rho = rows[mu][rho] / den."""
+    out = {lam: dict(row) for lam, row in rows.items()}
+    out[mu][rho] = padd(out[mu].get(rho, {}), pmul_int(extra.num, den))
     return out
 
 
@@ -205,16 +209,16 @@ def _doctored(H, mu, rho, extra):
 def test_one_stray_monomial_fails_the_certificate(monkeypatch, n):
     # for every (mu, rho), q t^2 added to the p_rho coefficient of H_mu;
     # the message names what the dict reference names
-    H = macd_H_hhl(n)
+    rows, den = macd_H_hhl(n)
     stray = Scalar.monomial(t1=-4, t2=-8)
-    for mu in H:
+    for mu in rows:
         for rho in partitions(n):
-            bad = _doctored(H, mu, rho, stray)
-            got = _certificate_error(bad, n)
+            bad = _doctored(rows, den, mu, rho, stray)
+            got = _certificate_error(n, bad, den)
             with monkeypatch.context() as m:
                 m.setattr(macdonald, "_twisted_schur",
                           _twisted_schur_reference)
-                want = _certificate_error(bad, n)
+                want = _certificate_error(n, bad, den)
             assert got is not None and got == want, (mu, rho)
 
 
@@ -225,18 +229,17 @@ def test_one_stray_monomial_fails_the_certificate(monkeypatch, n):
 def test_certificate_sees_coefficients_near_the_slot_bound(monkeypatch, extra):
     # the slot width comes from the doctored row itself; these terms set
     # its bound, and the pair sits in adjacent t-slots
-    H = macd_H_hhl(3)
-    bad = _doctored(H, (2, 1), (1, 1, 1), extra)
-    f = dict(zip(bad[(2, 1)], macdonald.clear_row(
-        list(bad[(2, 1)].values()))))
+    rows, den = macd_H_hhl(3)
+    bad = _doctored(rows, den, (2, 1), (1, 1, 1), extra)
+    f = bad[(2, 1)]
     chars = character_table(3)
     for step in (_DQ, _DT):
         assert _twisted_schur(f, step, chars) == _twisted_schur_reference(
             f, step, chars)
-    got = _certificate_error(bad, 3)
+    got = _certificate_error(3, bad, den)
     with monkeypatch.context() as m:
         m.setattr(macdonald, "_twisted_schur", _twisted_schur_reference)
-        assert got is not None and got == _certificate_error(bad, 3)
+        assert got is not None and got == _certificate_error(3, bad, den)
 
 
 def test_decompose_series_roundtrip():
@@ -271,31 +274,49 @@ def test_two_routes_agree():
 def test_hhl_is_the_axioms_basis_term_for_term(n):
     # identical canonical num/den dicts, not only equal values: the reports
     # and witnesses render them
-    hhl, ax = macd_H_hhl(n), macd_H_axioms(n)
-    assert list(hhl) == list(ax) == partitions(n)
+    rows, _ = macd_H_hhl(n)
+    basis, ax = MacdonaldBasis(), macd_H_axioms(n)
+    assert list(rows) == list(ax) == partitions(n)
     for lam in ax:
-        assert list(hhl[lam]) == list(ax[lam])
+        hhl = basis.H(lam).coeffs
+        assert list(hhl) == list(ax[lam])
         for rho, v in ax[lam].items():
-            assert (hhl[lam][rho].num, hhl[lam][rho].den) == (v.num, v.den)
+            assert (hhl[rho].num, hhl[rho].den) == (v.num, v.den)
 
 
 def test_hhl_matches_gram_schmidt():
+    basis = MacdonaldBasis()
     for n in (1, 2, 3, 4):
-        hhl, gs = macd_H_hhl(n), macd_H_gram_schmidt(n)
+        gs = macd_H_gram_schmidt(n)
         for lam in partitions(n):
+            hhl = basis.H(lam).coeffs
             for mu in partitions(n):
-                assert hhl[lam].get(mu, ZERO) == gs[lam].get(mu, ZERO)
+                assert hhl.get(mu, ZERO) == gs[lam].get(mu, ZERO)
 
 
 def test_degree_six_basis_is_certified():
     # beyond the reach of the axioms route's solve, but not of the axioms.
     # The s_(6) coefficient of H_lam is the Hall pairing with
     # s_(6) = sum_rho p_rho / z_rho, the sum of its p-coefficients.
-    for lam, row in MacdonaldBasis().build_degree(6).items():
+    rows, den = MacdonaldBasis().build_degree(6)
+    for lam, row in rows.items():
         total = ZERO
         for v in row.values():
-            total = total + v
+            total = total + Scalar(v, pconst(den))
         assert total == ONE
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_hhl_rows_are_integer_polynomials_over_one_den(n):
+    # each row's p-coefficients sum to den, the s_(n) coefficient 1, and
+    # den is the least common denominator of every row
+    rows, den = macd_H_hhl(n)
+    assert isinstance(den, int) and den > 0
+    for lam, row in rows.items():
+        coeffs = [c for v in row.values() for c in v.values()]
+        assert all(type(c) is int for c in coeffs), lam
+        assert reduce(padd, row.values(), {}) == pconst(den), lam
+        assert gcd(den, *coeffs) == 1, lam
 
 
 def kernel_exp(N):

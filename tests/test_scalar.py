@@ -347,8 +347,8 @@ def test_max_key_is_a_monomial_order(f, g):
 
 
 # keys in all NVARS fields: small exponents, so that many keys share a total
-# degree and plead must break ties, and large ones, whose total degrees
-# (|d| <= 80000 NVARS < 2^19) wrap around the modulus 2^20 - 1
+# degree and plead must break ties, and large ones, up to 80000 in every
+# field
 all_field_keys = st.one_of(
     st.tuples(*[st.integers(-3, 3)] * NVARS),
     st.tuples(*[st.integers(-80_000, 80_000)] * NVARS)).map(encode)
