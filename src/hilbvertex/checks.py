@@ -110,6 +110,8 @@ class VerificationReport:
 
 
 def _timed(name, orders, fn, conventions=None):
+    if any(order < 0 for order in orders.values()):  # not a pass over nothing
+        raise ValueError(f"negative order in {orders}")
     t0 = time.perf_counter()
     outcome, details = fn()
     return VerificationReport(name, orders, outcome, details,

@@ -30,7 +30,9 @@ Two closed rules give the transitions between the classical bases
 (Macdonald, "Symmetric Functions and Hall Polynomials", I.2 and I.7):
 Newton-Girard writes p_k in the h_lam, and Hall duality of m and h turns
 that into m_to_p; Murnaghan-Nakayama gives the integer characters of S_n in
-character_table, and s_lam = sum_rho chi^lam(rho) p_rho / z_rho.
+character_table, and s_lam = sum_rho chi^lam(rho) p_rho / z_rho.  As
+n! / z_rho is the size of the class rho, n! is the one denominator of every
+degree-n transition: m_to_p and the references hold n! m_lam and n! s_lam.
 
 Also here: the fixed-point factors as cached functions of lam (the Euler
 factor, the tangent character with every weight squared fed to the Koszul
@@ -58,14 +60,13 @@ off the exponents without expanding the exponential.
 """
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache, reduce
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import mul
 
 from .scalar import (Scalar, ZERO, ONE, KEY_ONE, pone, pzero, pconst,
-                     padams, pmul, pmul_int, ppow, decode, encode, key_exp,
-                     key_inv, key_var, VARIABLES, solve_poly_system)
+                     padams, padd, pmul, pmul_int, ppow, decode, encode,
+                     key_exp, key_inv, key_var, VARIABLES, solve_poly_system)
 from .characters import (partitions, conjugate, dominates, n_stat, boxes,
                          arm, leg, tangent_hilb, lambda_dot)
 from .fock import FockElement
@@ -100,21 +101,6 @@ def z_mu(mu):
     return prod(k ** m * factorial(m) for k, m in Counter(mu).items())
 
 
-def _clear_row(entries):
-    """Clear the denominators of one equation.
-
-    Entries must be Scalars with monomial denominators, which the stored
-    form keeps as positive integers; returns the numerators times the lcm
-    of those integers over each entry's own.
-    """
-    L = 1
-    for e in entries:
-        if len(e.den) != 1:
-            raise ArithmeticError("entry has a non-monomial denominator")
-        L = lcm(L, e.den[KEY_ONE])
-    return [pmul_int(e.num, L // e.den[KEY_ONE]) for e in entries]
-
-
 # ---------------------------------------------------------------------------
 # transition tables: m and s in the p-basis, by the closed rules
 # ---------------------------------------------------------------------------
@@ -132,13 +118,14 @@ def _p_mult(f, g):
 
 
 def m_to_p(n):
-    """m_lam in the p-basis with Fraction coefficients.
+    """n! m_lam in the p-basis: m_lam = sum_rho m_to_p(n)[lam][rho] p_rho / n!.
 
     Newton-Girard gives p_k = sum_{lam |- k} (-1)^(l-1) k (l-1)! / prod_i m_i!
     h_lam over the length l and multiplicities m_i of lam, and p_rho is the
     product of its p_k under h_mu h_nu = h_(mu U nu).  The m_lam are dual to
     the h_lam and the p_rho / z_rho to the p_rho, so the p_rho coefficient of
-    m_lam is <m_lam, p_rho> / z_rho = [h_lam] p_rho / z_rho.
+    m_lam is <m_lam, p_rho> / z_rho = [h_lam] p_rho / z_rho, and n! / z_rho
+    is an integer.
     """
     p_in_h = {}
     for k in range(1, n + 1):
@@ -150,8 +137,8 @@ def m_to_p(n):
     parts = partitions(n)
     p = {rho: reduce(_p_mult, [p_in_h[k] for k in rho], {(): 1})
          for rho in parts}
-    return {lam: {rho: Fraction(p[rho][lam], z_mu(rho)) for rho in parts
-                  if p[rho].get(lam)}
+    return {lam: {rho: p[rho][lam] * (factorial(n) // z_mu(rho))
+                  for rho in parts if p[rho].get(lam)}
             for lam in parts}
 
 
@@ -362,15 +349,12 @@ def macd_H_hhl(n):
     Macdonald polynomials", J. Amer. Math. Soc. 18, 2005), read off in the
     monomial basis by _hhl_fillings and mapped to the p-basis with m_to_p.
     Returns (rows, den) with H~_mu,rho = rows[mu][rho] / den: packed integer
-    polynomials over the one integer that clears m_to_p.  H~_mu' is H~_mu
+    polynomials over den = n!, the denominator of m_to_p.  H~_mu' is H~_mu
     with q and t exchanged, so only the shapes with at least as many rows as
     columns are summed; their short rows merge best in the row-by-row sum.
     """
     parts = partitions(n)
     m2p = m_to_p(n)
-    den = lcm(*(v.denominator for row in m2p.values() for v in row.values()))
-    m2p = {lam: {rho: int(v * den) for rho, v in row.items()}
-           for lam, row in m2p.items()}
     summed = {mu: _hhl_fillings(mu) for mu in parts
               if len(mu) >= len(conjugate(mu))}
     rows = {}
@@ -387,7 +371,7 @@ def macd_H_hhl(n):
                     a[k] = a.get(k, 0) + c * f
         rows[mu] = {rho: row for rho in parts if (row := {
             k: c for k, c in acc.get(rho, {}).items() if c})}
-    return rows, den
+    return rows, factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +386,6 @@ def _qt_pair_weight(mu):
     return w
 
 
-def _to_scalar_dict(frac_dict):
-    return {mu: Scalar.fraction(v.numerator, v.denominator)
-            for mu, v in frac_dict.items()}
-
-
 def macd_P(n):
     """Macdonald P_lam in the p-basis (Scalar coefficients), all |lam| = n.
 
@@ -415,41 +394,42 @@ def macd_P(n):
     already-built P_mu equals the span of the lower m_mu, orthogonality is
     imposed directly against the monomial vectors: each P_lam = m_lam -
     sum_nu x_nu m_nu, where solve_poly_system finds the x_nu from a small
-    system whose Gram entries are cleared to polynomials, which keeps the
-    exact arithmetic small.
+    system of Gram entries: the integer rows n! m_lam of m_to_p paired under
+    the weights times clear = prod_{k<=n} (1-t^k)^(n//k), which every weight's
+    denominator divides, so each entry is n!^2 clear times the true one, an
+    integer polynomial, and the common factor leaves the x_nu as they are.
     """
     parts = partitions(n)
     order = sorted(parts)  # ascending lex extends dominance upward
-    m2p = {lam: _to_scalar_dict(d) for lam, d in m_to_p(n).items()}
-    weights = {mu: _qt_pair_weight(mu) for mu in parts}
+    m2p = m_to_p(n)
     clear = ONE
     for k in range(1, n + 1):
         clear = clear * (ONE - T_MACD ** k) ** (n // k)
+    weights = {mu: (_qt_pair_weight(mu) * clear).reduced() for mu in parts}
+    if any(w.den != pone() for w in weights.values()):
+        raise ArithmeticError("a cleared Gram weight is not a polynomial")
 
     def ip(f, g):
-        s = ZERO
-        for mu, a in f.items():
-            b = g.get(mu)
-            if b is not None:
-                s = s + a * b * (weights[mu] * clear).reduced()
-        return s
+        return reduce(padd, (pmul_int(weights[mu].num, a * g[mu])
+                             for mu, a in f.items() if mu in g), pzero())
 
     gram = {}
     for i, nu in enumerate(order):
         for mu in order[:i + 1]:
             gram[(nu, mu)] = gram[(mu, nu)] = ip(m2p[nu], m2p[mu])
 
+    unit = Scalar.fraction(1, factorial(n))
     out = {}
     for i, lam in enumerate(order):
         lower = order[:i]
-        rows = [_clear_row([gram[(nu, mu)] for nu in lower]
-                           + [gram[(lam, mu)]]) for mu in lower]
-        xs = solve_poly_system([r[:-1] for r in rows], [r[-1] for r in rows])
+        xs = solve_poly_system([[gram[(nu, mu)] for nu in lower]
+                                for mu in lower],
+                               [gram[(lam, mu)] for mu in lower])
         f = dict(m2p[lam])
         for nu, x in zip(lower, xs):
             for rho, v in m2p[nu].items():
                 f[rho] = f.get(rho, ZERO) - x * v
-        out[lam] = {rho: v for rho, v in f.items() if v}
+        out[lam] = {rho: v * unit for rho, v in f.items() if v}
     return out
 
 
@@ -489,33 +469,31 @@ def macd_H_axioms(n):
     H_lam is determined by requiring that p_k -> (1-q^k) p_k maps it into the
     span of s_mu with mu >= lam (dominance), p_k -> (1-t^k) p_k into the span
     of s_mu with mu >= lam', and that the s_(n) coefficient is 1.  An
-    independent check of macd_H_hhl, which builds the basis.  The exact
-    solve eliminates the whole overdetermined system fraction-free, which
-    makes it slow beyond degree 5.
+    independent check of macd_H_hhl, which builds the basis.  The twisted
+    matrices hold the Schur coefficients of n! s_nu[X(1-x)], integer
+    polynomials, so each axiom is n! times its equation and is solved as is.
+    The exact solve eliminates the whole overdetermined system
+    fraction-free, which makes it slow beyond degree 5.
     """
     parts = partitions(n)
     chars = character_table(n)
-    # s_nu = sum_rho chi^nu(rho) p_rho / z_rho
-    s_frac = {nu: {rho: Fraction(x, z_mu(rho)) for rho, x in row.items()}
-              for nu, row in chars.items()}
-    s_p = {nu: _to_scalar_dict(d) for nu, d in s_frac.items()}
+    unit = Scalar.fraction(1, factorial(n))
+    # n! s_nu = sum_rho chi^nu(rho) (n! / z_rho) p_rho, an integer row
+    s_p = {nu: {rho: x * (factorial(n) // z_mu(rho)) for rho, x in row.items()}
+           for nu, row in chars.items()}
 
     def twisted_matrix(step):
-        # entry (mu, nu): s_mu coefficient of s_nu[X(1-x)], x = q or t
-        cols = {}
-        for nu in parts:
-            den = lcm(*(v.denominator for v in s_frac[nu].values()))
-            f = {rho: pconst(int(v * den)) for rho, v in s_frac[nu].items()}
-            for mu, c in _twisted_schur(f, step, chars).items():
-                cols[(mu, nu)] = Scalar(c, pconst(den))
-        return cols
+        # entry (mu, nu): s_mu coefficient of n! s_nu[X(1-x)], x = q or t
+        return {(mu, nu): c for nu in parts for mu, c in _twisted_schur(
+            {rho: pconst(v) for rho, v in s_p[nu].items()}, step,
+            chars).items()}
 
     Aq = twisted_matrix(_DQ)
     At = twisted_matrix(_DT)
 
     out = {}
     for lam in parts:
-        rows = [_clear_row([A[(mu, nu)] for nu in parts]) for mu in parts
+        rows = [[A[(mu, nu)] for nu in parts] for mu in parts
                 for A, top in ((Aq, lam), (At, conjugate(lam)))
                 if not dominates(mu, top)]
         rhs = [pzero() for _ in rows] + [pone()]
@@ -527,7 +505,7 @@ def macd_H_axioms(n):
         for nu, x in zip(parts, sol):
             for mu, v in s_p[nu].items():
                 f[mu] = f.get(mu, ZERO) + x * v
-        out[lam] = {mu: v for mu, v in f.items() if not v.is_zero()}
+        out[lam] = {mu: v * unit for mu, v in f.items() if not v.is_zero()}
     return out
 
 

@@ -547,10 +547,15 @@ def test_prop4_examples():
 
 def test_negative_n_is_refused():
     # as partitions(-1) is: not an UnboundLocalError, and not a pass over
-    # zero fixed points
+    # zero fixed points or degrees.  Every verify target, each of its orders
+    # at -1 in turn, refuses it, not only the rank-2 ones
     for fn in (fixed_points_rank2, check_prop1, checks.check_prop4_through):
         with pytest.raises(ValueError):
             fn(-1)
+    for target in checks.VERIFY_TARGETS.values():
+        for param, *_ in target.orders.values():
+            with pytest.raises(ValueError):
+                target.check(**{param: -1})
 
 
 def test_report_serialization():

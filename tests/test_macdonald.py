@@ -286,7 +286,8 @@ def test_hhl_is_the_axioms_basis_term_for_term(n):
 
 def test_hhl_matches_gram_schmidt():
     basis = MacdonaldBasis()
-    for n in (1, 2, 3, 4):
+    # n = 0 hands macd_P the empty Gram system
+    for n in (0, 1, 2, 3, 4):
         gs = macd_H_gram_schmidt(n)
         for lam in partitions(n):
             hhl = basis.H(lam).coeffs
@@ -309,9 +310,9 @@ def test_degree_six_basis_is_certified():
 @pytest.mark.parametrize("n", range(7))
 def test_hhl_rows_are_integer_polynomials_over_one_den(n):
     # each row's p-coefficients sum to den, the s_(n) coefficient 1, and
-    # den is the least common denominator of every row
+    # den, which is n!, is the least common denominator of every row
     rows, den = macd_H_hhl(n)
-    assert isinstance(den, int) and den > 0
+    assert type(den) is int and den == factorial(n)
     for lam, row in rows.items():
         coeffs = [c for v in row.values() for c in v.values()]
         assert all(type(c) is int for c in coeffs), lam
@@ -475,20 +476,22 @@ def _expand_p_mu(mu, nvars):
 @pytest.mark.parametrize("n", range(7))
 def test_p_to_m_counts_match_the_expansion(n):
     # m_to_p inverts the p-to-m counts of the brute-force expansion: sum_rho
-    # m_to_p[lam][rho] p_rho, expanded in n variables, is m_lam, with
-    # coefficient 1 on every rearrangement of lam and 0 elsewhere
+    # m_to_p[lam][rho] p_rho, expanded in n variables, is n! m_lam, with
+    # coefficient n! on every rearrangement of lam and 0 elsewhere
     nv = max(1, n)
     p = {rho: _expand_p_mu(rho, nv) for rho in partitions(n)}
     m2p = m_to_p(n)
     assert list(m2p) == partitions(n)
     for lam, row in m2p.items():
+        assert all(type(c) is int for c in row.values()), lam
         got = {}
         for rho, c in row.items():
             for exps, v in p[rho].items():
                 got[exps] = got.get(exps, 0) + c * v
         got = {exps: v for exps, v in got.items() if v}
         padded = tuple(lam) + (0,) * (nv - len(lam))
-        assert got == {exps: 1 for exps in set(permutations(padded))}
+        assert got == {exps: factorial(n)
+                       for exps in set(permutations(padded))}
 
 
 def _hooks(lam):
@@ -523,16 +526,18 @@ def test_character_table_is_orthonormal(n):
 
 def test_transition_tables_are_pinned():
     # the character tables and m_to_p for n = 0..MAX_DEGREE, nonzero entries
-    # in sorted order, Fractions as num/den; a change of how the tables are
-    # computed leaves this text byte for byte the same
+    # in sorted order, the m_lam coefficients (entries over n!) as reduced
+    # num/den; a change of how the tables are computed leaves this text byte
+    # for byte the same
     lines = []
     for n in range(MAX_DEGREE + 1):
         for lam, row in sorted(character_table(n).items()):
             lines += [f"chi {lam} {rho} {v}"
                       for rho, v in sorted(row.items()) if v]
         for lam, row in sorted(m_to_p(n).items()):
-            lines += [f"m2p {lam} {rho} {v.numerator}/{v.denominator}"
-                      for rho, v in sorted(row.items()) if v]
+            lines += [f"m2p {lam} {rho} {c.numerator}/{c.denominator}"
+                      for rho, v in sorted(row.items())
+                      if (c := Fraction(v, factorial(n)))]
     text = "\n".join(lines).encode()
     assert hashlib.sha256(text).hexdigest() == (
         "5af7a5f1df05abe809aa70706e0d0295d17e860209f8c63ee2f9690f0a7be4d2")
