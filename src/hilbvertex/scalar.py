@@ -16,13 +16,12 @@ among unit multiples (an integer times a monomial):
   den have integer content 1.  The largest key leads under a monomial order
   (see `pdivexact`), so a product or a sum of stored Scalars is stored
   again with no shift and no sign flip, and it costs one C-level max;
-- the printed form (`_printed`, used only by `Scalar.render` and
-  `Scalar.render_parts`): no monomial divides both num and den, and the
-  graded-lex leading coefficient of den is positive.  Printed text is
-  therefore independent of how a value is stored.
+- the printed form (`Scalar.render_parts`): no monomial divides both num
+  and den, and the graded-lex leading coefficient of den is positive.
+  Printed text is therefore independent of how a value is stored.
 
 Two denominators that agree up to a unit, b*d2 == a*m*d1 with a monomial m
-and integers a, b, are recognized in O(len) (`_unit_ratio`): a sum over them
+and integers a, b, are recognized in O(len) (`unit_ratio`): a sum over them
 stays over the one denominator b*d2, without cross multiplication.  On
 stored denominators m is always 1.  A sum computed this way can be stored
 differently from the cross-multiplied sum, with an equal value.
@@ -34,8 +33,10 @@ key without w has the integer order, graded-lex rank and text it would have
 without the field.  Most products in the checks have a one-term operand;
 `pmul` forms those as one shift of the other operand's keys, with no
 accumulator, and `pmul_into` adds a product into a running sum in place.
-`prender` decodes each key once per process and keeps its graded-lex rank
-and text in a memo.
+`prender` decodes each key once per process and keeps its graded-lex rank,
+as one int, and its text in a memo.  `render_parts` prints in one pass:
+`pmin_key` finds the common monomial as one packed key, the shift by it is
+applied as the memo is read, and den's sign is that of its first term.
 """
 
 import math
@@ -227,16 +228,23 @@ def pmin_exps(keys):
     return [min([(k >> s) & _MASK for k in keys]) - _BIAS for s in _SHIFTS]
 
 
+def pmin_key(keys):
+    """encode(pmin_exps(keys)) on the packed keys: the borrow test of
+    `_key_ge` marks the fields where k >= m, and a field-wide mask keeps m
+    there and k elsewhere.  Valid while fields differ by less than 2^19."""
+    keys = iter(keys)
+    m = next(keys)
+    for k in keys:
+        mask = (((k - m + KEY_ONE) & KEY_ONE) >> (_FIELD_BITS - 1)) * _MASK
+        m = (m & mask) | (k & ~mask)
+    return m
+
+
 def pexp_box(f):
     """Per-variable minimum and maximum exponents of a nonzero polynomial."""
     fields = [[(k >> s) & _MASK for k in f] for s in _SHIFTS]
     return ([min(c) - _BIAS for c in fields],
             [max(c) - _BIAS for c in fields])
-
-
-def _grlex(key):
-    e = decode(key)
-    return (sum(e), e)
 
 
 def padams(f, n):
@@ -305,14 +313,17 @@ def pdivexact(f, g):
     return quot
 
 
-# packed key -> (graded-lex rank, monomial text); filled by `prender`
+# packed key -> (graded-lex rank, monomial text); filled by `prender`.  The
+# rank, an int, holds the total degree above the exponents in reverse order
 _MONOMIALS = {}
 
 
 def _monomial(key):
-    rank = _grlex(key)
+    exps = decode(key)
+    rank = ((sum(exps) + NVARS * _BIAS) << (_FIELD_BITS * NVARS)
+            | encode(exps[::-1]))
     factors = []
-    for name, e in zip(VARIABLES, rank[1]):
+    for name, e in zip(VARIABLES, exps):
         if e == 0:
             continue
         if e % 2 == 0:
@@ -331,6 +342,30 @@ def plead(f):
     return max(f, key=lambda k: (memo.get(k) or _monomial(k))[0])
 
 
+def _sorted_terms(f, shift):
+    """[((rank, text), coefficient)] of f times the monomial KEY_ONE + shift,
+    in decreasing graded-lex order (ranks are distinct ints)."""
+    memo = _MONOMIALS
+    terms = [(memo.get(k + shift) or _monomial(k + shift), c)
+             for k, c in f.items()]
+    terms.sort(reverse=True)
+    return terms
+
+
+def _join_terms(terms, sign=1):
+    """Text of sorted terms, each coefficient times `sign`."""
+    if not terms:
+        return "0"
+    parts = []
+    for (_, mono), c in terms:
+        c *= sign
+        a = abs(c)
+        term = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
+        parts.append(("- " if c < 0 else "+ ") + term)
+    text = " ".join(parts)
+    return ("" if text[0] == "+" else "-") + text[2:]
+
+
 def prender(f):
     """Deterministic text form, doubled exponents rendered as halves.
 
@@ -338,33 +373,14 @@ def prender(f):
     monomial text come from the memo `_MONOMIALS`, so a key is decoded once
     per process, however often it is printed.
     """
-    if not f:
-        return "0"
-    memo = _MONOMIALS
-    entries = [(memo.get(k) or _monomial(k), c) for k, c in f.items()]
-    entries.sort(key=lambda entry: entry[0][0], reverse=True)
-    parts = []
-    for (_, mono), c in entries:
-        if not mono:
-            term = str(abs(c))
-        elif abs(c) == 1:
-            term = mono
-        else:
-            term = f"{abs(c)}*{mono}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+    return _join_terms(_sorted_terms(f, 0))
 
 
 # ---------------------------------------------------------------------------
 # Scalar: canonical fraction of Laurent polynomials
 # ---------------------------------------------------------------------------
 
-def _unit_ratio(d1, d2):
+def unit_ratio(d1, d2):
     """(a, b) with b*d2 == a*d1, or None when no such integers exist.
 
     d1 and d2 are stored denominators, so both lead with KEY_ONE (see
@@ -403,19 +419,6 @@ def _canonicalize(num, den):
     if g != 1:
         num = {k: c // g for k, c in num.items()}
         den = {k: c // g for k, c in den.items()}
-    return num, den
-
-
-def _printed(num, den):
-    """Printed form of a stored fraction: no monomial divides both num and
-    den, and the graded-lex leading coefficient of den is positive."""
-    mins = pmin_exps([*num, *den])
-    if any(mins):
-        shift = KEY_ONE - encode(mins)
-        num = {k + shift: c for k, c in num.items()}
-        den = {k + shift: c for k, c in den.items()}
-    if den[plead(den)] < 0:
-        num, den = pneg(num), pneg(den)
     return num, den
 
 
@@ -482,7 +485,7 @@ class Scalar:
             return NotImplemented
         if self.den == other.den:
             return Scalar(padd(self.num, other.num), dict(self.den))
-        unit = _unit_ratio(self.den, other.den)
+        unit = unit_ratio(self.den, other.den)
         if unit:
             a, b = unit
             num = padd(pmul_int(self.num, a), pmul_int(other.num, b))
@@ -607,8 +610,11 @@ class Scalar:
 
     def render_parts(self):
         """Texts of the printed numerator and denominator."""
-        num, den = _printed(self.num, self.den)
-        return prender(num), prender(den)
+        shift = KEY_ONE - pmin_key([*self.num, *self.den])
+        den = _sorted_terms(self.den, shift)
+        sign = -1 if den[0][1] < 0 else 1
+        return (_join_terms(_sorted_terms(self.num, shift), sign),
+                _join_terms(den, sign))
 
     def render(self):
         if not self.num:

@@ -6,19 +6,28 @@ bounds tuple.  Stored coefficients are never zero and every stored key lies
 within the bounds, so zero is the empty map.  Binary operations take the
 minimum of the two bounds, field by field.  A subclass gives only UNIT, the
 key of the monomial 1, whether a key lies within its bounds, and the product
-of two keys; this module's Series and fock's Fock-space elements are such
-subclasses, and share the one arithmetic here.  Multiplying by an int, a
-Scalar or a Series that is not an element of the same algebra scales every
-coefficient.
+of two keys; fock's Fock-space elements are such subclasses, and share the
+one arithmetic here.  Multiplying by an int, a Scalar or a Series that is
+not an element of the same algebra scales every coefficient.
 
 A Series is the truncated algebra in y and z: keys (y_exp, z_exp), bounds
 (ny, nz), Scalar coefficients.  It takes ints and Scalars as constants and
-adds the series operations (exp, log, inverse, ...).  Rational
-reconstruction in z closes the module.
+adds the series operations (exp, log, inverse, ...).  Its product writes
+each operand over one denominator (`_over_common_denominator`), convolves
+the numerators in place and builds one Scalar per coefficient, where a
+coefficient-wise product would build a Scalar, and the same denominator
+product, per pair.  No printed text changes: when each operand's
+coefficients share one denominator up to an integer unit, as in every series
+the package builds, the coefficient-wise sums never cross-multiply either,
+and a value's stored form is unique once its denominator is fixed up to a
+unit.  Rational reconstruction in z closes the module.
 """
 
+import math
+from functools import reduce
+
 from .scalar import (Scalar, ZERO, ONE, InconsistentSystemError, pone, padd,
-                     pmul, pdivexact, solve_poly_system)
+                     pmul, pmul_int, pmul_into, solve_poly_system, unit_ratio)
 
 
 class ReconstructionError(ArithmeticError):
@@ -28,7 +37,8 @@ class ReconstructionError(ArithmeticError):
 class Truncated:
     """A truncated commutative algebra of monomials with exact coefficients.
 
-    Subclasses set UNIT and give _within(key, bounds) and _key_product(a, b).
+    Subclasses set UNIT and give _within(key, bounds) and _key_product(a, b)
+    (Series gives its own product instead).
     """
 
     __slots__ = ("coeffs", "_bounds")
@@ -120,20 +130,42 @@ class Series(Truncated):
     nz = property(lambda self: self._bounds[1])
     # kept in Series' own __dict__: perfbench/tracing.py wraps them there
     __add__ = __radd__ = Truncated.__add__
-    __mul__ = __rmul__ = Truncated.__mul__
 
     @staticmethod
     def _within(key, bounds):
         return key[0] <= bounds[0] and key[1] <= bounds[1]
 
-    @staticmethod
-    def _key_product(a, b):
-        return a[0] + b[0], a[1] + b[1]
-
     def _coerce(self, other):
         if isinstance(other, (int, Scalar)):
             return Series.const(other, *self._bounds)
         return super()._coerce(other)
+
+    def __mul__(self, other):
+        """The product over one denominator (see the module docstring)."""
+        if not isinstance(other, Series):
+            return Truncated.__mul__(self, other)
+        ny, nz = bounds = tuple(map(min, self._bounds, other._bounds))
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        if not short:
+            return Series({}, *bounds)
+        if len(short) == 1:  # a shift and a scaling: every sum has one term
+            ((jy, jz), c), = short.items()
+            return Series({(iy + jy, iz + jz): v * c
+                           for (iy, iz), v in long.items()
+                           if iy + jy <= ny and iz + jz <= nz}, *bounds)
+        nums, den = _over_common_denominator(self.coeffs.values())
+        other_nums, other_den = _over_common_denominator(other.coeffs.values())
+        theirs = list(zip(other.coeffs, other_nums))
+        out = {}
+        for (iy, iz), f in zip(self.coeffs, nums):
+            for (jy, jz), g in theirs:
+                if iy + jy <= ny and iz + jz <= nz:
+                    pmul_into(out.setdefault((iy + jy, iz + jz), {}), f, g)
+        den = pmul(den, other_den)
+        return Series({key: Scalar({k: c for k, c in acc.items() if c}, den)
+                       for key, acc in out.items()}, *bounds)
+
+    __rmul__ = __mul__
 
     # -- constructors ---------------------------------------------------------
 
@@ -241,7 +273,10 @@ class Series(Truncated):
 
     def scale_z(self, factor):
         """Substitute z -> factor * z for a scalar factor."""
-        return Series({(iy, iz): v * factor ** iz
+        powers = [ONE]
+        for _ in range(max((iz for _, iz in self.coeffs), default=0)):
+            powers.append(powers[-1] * factor)
+        return Series({(iy, iz): v * powers[iz]
                        for (iy, iz), v in self.coeffs.items()}, *self._bounds)
 
     def render(self):
@@ -272,22 +307,27 @@ def _z_coefficients(s):
 def _over_common_denominator(scalars):
     """Rewrite Scalars over one shared denominator: (numerator polys, den).
 
-    Keeps all downstream convolutions inside polynomial arithmetic, which is
-    what makes exact reconstruction cheap; the shared denominator is the
-    product of the structurally distinct denominators.
+    Keeps all downstream convolutions inside polynomial arithmetic.  Integer
+    multiples of one denominator (`unit_ratio`) form one class: with d its
+    first and every other (a/b) d, the class is over m d, m the lcm of the
+    a.  The shared denominator is the product of the classes'.
     """
-    distinct = []
+    classes, where = [], []   # [d, m] per class; (num, class, a, b) per scalar
     for c in scalars:
-        if not any(c.den == d for d in distinct):
-            distinct.append(c.den)
-    den = pone()
-    for d in distinct:
-        den = pmul(den, d)
-    nums = []
-    for c in scalars:
-        rest = pdivexact(den, c.den)
-        nums.append(pmul(c.num, rest))
-    return nums, den
+        for i, (d, _) in enumerate(classes):
+            unit = (1, 1) if d is c.den else unit_ratio(d, c.den)
+            if unit:
+                break
+        else:
+            i, unit = len(classes), (1, 1)
+            classes.append([c.den, 1])
+        classes[i][1] = math.lcm(classes[i][1], unit[0])
+        where.append((c.num, i, *unit))
+    dens = [pmul_int(d, m) for d, m in classes]
+    rest = [reduce(pmul, dens[:i] + dens[i + 1:], pone())
+            for i in range(len(dens))]
+    return [pmul(pmul_int(num, classes[i][1] * b // a), rest[i])
+            for num, i, a, b in where], reduce(pmul, dens, pone())
 
 
 def _convolve(den_polys, num_polys, upto):

@@ -2,9 +2,10 @@
 
 perfbench/selftest.py checks this path on the fusion `main` task with a
 0.5 s limit, but `check_main(5, 8)`, decided on the exponents, now ends in
-about 0.05 s.  This test drives the same path with the `series_F` export
-task (about 0.2 s with its oracle on 2 cores) and a 0.02 s limit.
-"""
+about 0.005 s, and the `series_F` export with its oracle in about 0.02 s.
+This test drives the same path with the vertex workload's `vertex_n3`
+task, whose `certify_table` oracle keeps it at 0.03-0.05 s on 2 cores, and
+a 0.02 s limit."""
 
 import os
 import subprocess
@@ -31,7 +32,7 @@ def test_time_limit_stops_the_task_and_the_pass(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", spy)
     monkeypatch.setattr(run, "TASK_LIMIT_S", LIMIT_S)
-    p, = run.run_worker(SIZES["full"]["fusion"], ["series_F", "main"],
+    p, = run.run_worker(SIZES["full"]["vertex"], ["vertex_n3", "vertex_n1"],
                         deadline=time.perf_counter() + 60)["passes"]
     first, rest = p["tasks"]
     assert first["status"] == "stopped" and "time limit" in first["detail"]

@@ -181,6 +181,20 @@ def test_check_main_finds_unique_shift():
     assert rep.details["claimed_shift"] == "-z*hbar^1*q^1"
 
 
+def test_check_main_builds_each_exponent_once(monkeypatch):
+    # one closed side and one pair of fusion exponents, shared by the five
+    # readings and the eighteen shifts
+    calls = dict.fromkeys(("mellit_exponents", "osum_exponents",
+                           "closed_exponents"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(checks, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(checks, name, counted)
+    assert check_main(5, 8).passed
+    assert calls == dict.fromkeys(calls, 1)
+
+
 @pytest.mark.parametrize("Ny, Nz, count", [(1, 1, 4), (2, 0, 90)])
 def test_check_main_below_z2_cannot_name_one_shift(Ny, Nz, count):
     # why VERIFY_TARGETS sets the lowest z order of main to 2

@@ -307,6 +307,8 @@ def test_vertex_n1_denominator(tmp_path):
      "97c83f1d0424edafae0e22524e9c80743191675ec8fd019823ac315d45caad8e"),
     (["calibrate", "--evidence"], EXIT_OK,
      "e2b2391f51fcfbc9c431999277ec4a2f91ff566fdb3e44c1752be8f9adb27201"),
+    (["series", "F", "--ymax", "8", "--zmax", "12"], EXIT_OK,
+     "5f417ed033e28c1c78c4cb31ae8ac6be6122b96f115ef18249a22187bc0de24b"),
 ])
 def test_printed_output_is_pinned(tmp_path, argv, code, digest):
     # the printed text of a value must not follow its stored form: a change

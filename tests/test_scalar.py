@@ -7,16 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, A, HBAR,
                                LimitError, KEY_ONE, NVARS, decode, encode,
-                               pmin_exps, pexp_box, plead, pdivexact, _grlex,
-                               _printed, prender, _MONOMIALS, VARIABLES,
+                               pmin_exps, pexp_box, plead, pdivexact,
+                               prender, _MONOMIALS, VARIABLES,
                                pmul, pmul_int, pone, pconst, padd, psub,
                                padams, ppow, key_exp, bareiss_det,
                                invert_matrix, solve_poly_system,
                                InconsistentSystemError, ResourceLimitError,
-                               pmul_into)
+                               pmul_into, pmin_key)
 from hilbvertex import scalar
 
 rng = random.Random(20240817)
+
+
+def _grlex(key):
+    """Graded-lex rank of a key by its definition: (total degree, exponents)."""
+    e = decode(key)
+    return (sum(e), e)
 
 
 def _key(**exps):
@@ -82,7 +88,7 @@ def test_canonical_form_invariants():
         assert math.gcd(*x.num.values(), *x.den.values()) == 1
         # printed form: the same value, content 1, den's graded-lex leading
         # coefficient positive, and no common monomial factor
-        num, den = _printed(x.num, x.den)
+        num, den = _printed_reference(x.num, x.den)
         assert Scalar(num, den) == x
         assert math.gcd(*num.values(), *den.values()) == 1
         assert den[plead(den)] > 0
@@ -249,6 +255,16 @@ def test_unit_multiples_are_stored_and_printed_alike(n, d, m, c):
     assert y.render_parts() == (prender(pn), prender(pd))
 
 
+@settings(max_examples=100, deadline=None)
+@given(monomials, units, monomials, units)
+def test_render_parts_of_zero_and_of_one_term(m1, c1, m2, c2):
+    assert ZERO.render_parts() == ("0", "1")
+    x = Scalar({m1: c1}, {m2: c2})
+    pn, pd = _printed_reference(x.num, x.den)
+    assert x.render_parts() == (prender(pn), prender(pd))
+    assert (-T1 / T2).render_parts() == ("-t1", "t2")
+
+
 def test_sum_over_denominators_that_are_not_unit_multiples():
     # of the same length; the middle pair shares its leading monomial
     for d1, d2 in [(ONE - T1, ONE - T2), (T1 ** 2 + 1, T1 ** 2 + T1),
@@ -361,6 +377,7 @@ def test_packed_key_extrema_match_decoded_definitions(keys):
     columns = list(zip(*map(decode, f)))
     mins, maxs = [min(c) for c in columns], [max(c) for c in columns]
     assert pmin_exps(f) == mins
+    assert pmin_key(f) == encode(mins)
     assert pexp_box(f) == (mins, maxs)
     assert plead(f) == max(f, key=_grlex)
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hilbvertex.scalar import Scalar, ZERO, ONE, T1, T2, Q, U, HBAR
+from hilbvertex.scalar import (Scalar, ZERO, ONE, T1, T2, Q, U, HBAR, KEY_ONE,
+                               encode, pmul)
 from hilbvertex.series import Series, rational_reconstruct, ReconstructionError
 
 rng = random.Random(7131)
@@ -149,3 +151,67 @@ def test_scale_z():
     t = s.scale_z(HBAR)
     assert t.coefficient(0, 1) == HBAR
     assert t.coefficient(0, 2) == T1 * HBAR ** 2
+
+
+def _product_reference(a, b):
+    """The coefficient-wise product: one Scalar product per pair of
+    coefficients and one Scalar sum per partial sum."""
+    ny, nz = map(min, a.bounds(), b.bounds())
+    out = {}
+    for (iy, iz), c1 in a.coeffs.items():
+        for (jy, jz), c2 in b.coeffs.items():
+            key = iy + jy, iz + jz
+            if key[0] <= ny and key[1] <= nz:
+                s = out.get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
+    return Series(out, ny, nz)
+
+
+# Laurent polynomials in t1, t2, u with doubled exponents in [-3, 3]
+monomial_keys = st.tuples(*[st.integers(-3, 3)] * 3).map(
+    lambda e: encode((e[0], e[1], 0, e[2], 0, 0)))
+polys = st.dictionaries(monomial_keys, st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=3)
+# an integer times a monomial
+units = st.builds(lambda k, c: {k: c}, monomial_keys,
+                  st.integers(-4, 4).filter(bool))
+
+
+@st.composite
+def series_over(draw, dens, with_units):
+    """A Series in y and z whose every coefficient has a denominator drawn
+    from `dens`, times a unit when `with_units`."""
+    coeffs = {}
+    for key in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                             unique=True, max_size=5)):
+        unit = draw(units) if with_units else {KEY_ONE: 1}
+        coeffs[key] = Scalar(draw(polys),
+                             pmul(unit, draw(st.sampled_from(dens))))
+    return Series(coeffs, draw(st.integers(1, 2)), draw(st.integers(2, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), polys, polys, st.booleans())
+def test_product_over_one_denominator_is_the_coefficient_loop(data, d1, d2,
+                                                              with_units):
+    # each operand over one denominator, up to integer units: the sums of
+    # the coefficient loop never cross-multiply, so both routes store, and
+    # print, every coefficient alike
+    a = data.draw(series_over([d1], with_units))
+    b = data.draw(series_over([d2], with_units))
+    got, want = a * b, _product_reference(a, b)
+    assert got == want and got.bounds() == want.bounds()
+    assert {k: (c.num, c.den) for k, c in got.coeffs.items()} == \
+        {k: (c.num, c.den) for k, c in want.coeffs.items()}
+    assert got.render() == want.render()
+    assert b * a == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.lists(polys, min_size=4, max_size=4))
+def test_product_over_mixed_denominators_has_the_value_of_the_loop(data, dens):
+    # the operands' shared denominator is the product of their distinct
+    # denominators; the value is the coefficient loop's
+    a = data.draw(series_over(dens[:2], True))
+    b = data.draw(series_over(dens[2:], True))
+    assert a * b == _product_reference(a, b)
